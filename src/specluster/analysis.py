@@ -47,9 +47,7 @@ class ConditionReport:
 
 
 def condition_report(
-    dataset: BinaryDataset,
-    spectral_tol: float = 1e-8,
-    spectral_noise: float | None = None,
+    dataset: BinaryDataset, *, spectral_noise: float | None = None
 ) -> ConditionReport:
     """Evaluate all recovery-condition quantities on one dataset.
 
@@ -65,7 +63,7 @@ def condition_report(
     m, n = dataset.m, dataset.n
     if spectral_noise is None:
         expected = expected_from_truth(model, dataset.truth)
-        spectral_noise = spectral_norm(dataset.matrix - expected, tol=spectral_tol)
+        spectral_noise = spectral_norm(dataset.matrix - expected)
     dm = separation(model)
     threshold = 0.01 * model.w_min * m * dm * dm / (50.0 * model.k)
     sigma_sq = model.sigma_sq

@@ -86,6 +86,11 @@ class SweepSpec:
                 raise InvalidInputError(f"axis {name!r} must be a nonempty list")
         if self.trials_per_cell < 1:
             raise InvalidInputError("trials_per_cell must be at least 1")
+        if not isinstance(self.diagnostics, (list, tuple)):
+            raise InvalidInputError(
+                f"diagnostics must be a list of names, got {self.diagnostics!r}"
+            )
+        object.__setattr__(self, "diagnostics", tuple(self.diagnostics))
         unknown = set(self.diagnostics) - set(DIAGNOSTICS)
         if unknown:
             raise InvalidInputError(f"unknown diagnostics: {sorted(unknown)}")
@@ -105,7 +110,7 @@ class SweepSpec:
                 fixed=dict(obj.get("fixed", {})),
                 trials_per_cell=int(obj["trials_per_cell"]),
                 base_seed=int(obj.get("base_seed", 0)),
-                diagnostics=tuple(obj.get("diagnostics", ())),
+                diagnostics=obj.get("diagnostics", ()),
                 margin_draws=int(obj.get("margin_draws", 200)),
             )
         except (KeyError, TypeError, ValueError) as exc:

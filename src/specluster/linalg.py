@@ -5,7 +5,9 @@ The truncated SVD is self-contained by design: block power iteration
 large inputs, and a full eigendecomposition of the Gram matrix by cyclic
 Jacobi rotations when the small dimension is at most ``JACOBI_CUTOVER``.
 The Jacobi path doubles as an independent oracle for the iterative path,
-which is why both are kept side by side.
+which is why both are kept side by side.  The spectral norm decides no
+label, so it runs on compiled kernels instead: LAPACK for small inputs and
+ARPACK for the top singular value of large ones.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.linalg import ArpackError, svds
 
 from . import rng
 from .errors import ConvergenceError, InvalidInputError
@@ -296,70 +299,33 @@ def truncated_svd(
     raise InvalidInputError(f"unknown SVD method {method!r}")
 
 
-def spectral_norm(a, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> float:
-    """Largest singular value of ``a``.
+def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
+    """Largest singular value of ``a``, accurate to machine precision.
 
-    Small matrices go through the exact Jacobi path.  Larger ones use
-    subspace iteration on an oversampled block; the top Ritz value
-    increases geometrically toward the answer, so the remaining error is
-    extrapolated from consecutive increments (Aitken style) and iteration
-    stops once the extrapolated tail falls below ``tol`` relative.
+    When min(m, n) <= 64 this is LAPACK's full SVD (``np.linalg.norm(a, 2)``).
+    Larger inputs go to ARPACK through ``scipy.sparse.linalg.svds``, which
+    runs Lanczos on the Gram operator for the top value alone, to machine
+    precision (``tol=0``), from a start vector derived from a fixed internal
+    key rather than global random state.  An all-zero input returns 0.0.
+    ARPACK failures, including running out of its ``max_iter`` restarts,
+    raise :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
     if min(m, n) <= JACOBI_CUTOVER:
-        gram = a.T @ a if n <= m else a @ a.T
-        lam, _ = _jacobi_eigh(gram)
-        return float(np.sqrt(max(float(lam[0]), 0.0)))
-    b = min(1 + _OVERSAMPLE, m, n)
-    init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
-    v = _orthonormal_columns(2.0 * rng.uniform_grid(init_key, n, b) - 1.0)
-    x = np.ones(b) / np.sqrt(b)
-    prev_sigma = None
-    prev_diff = None
-    streak = 0
-    for _ in range(max_iter):
-        w = a @ v
-        top, x = _top_eig(w.T @ w, x)
-        sigma = float(np.sqrt(max(top, 0.0)))
-        if prev_sigma is not None:
-            diff = abs(sigma - prev_sigma)
-            scale = max(sigma, 1e-300)
-            if diff <= 1e-3 * tol * scale:
-                streak += 1
-            elif prev_diff is not None and prev_diff > 0.0:
-                # Geometric tail: remaining error ~ diff * rho / (1 - rho).
-                rho = min(diff / prev_diff, 0.99)
-                streak = streak + 1 if diff * rho / (1.0 - rho) <= 0.5 * tol * scale else 0
-            else:
-                streak = 0
-            if streak >= 2:
-                return sigma
-            prev_diff = diff
-        prev_sigma = sigma
-        u = _orthonormal_columns(w)
-        v = _orthonormal_columns(a.T @ u)
-    raise ConvergenceError(f"spectral norm estimate did not stabilize in {max_iter} iterations")
-
-
-def _top_eig(g: np.ndarray, x0: np.ndarray, iters: int = 400) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of a tiny symmetric PSD matrix by power iteration,
-    warm-started from ``x0``; returns the value and the final vector."""
-    x = x0
-    lam = 0.0
-    for _ in range(iters):
-        y = g @ x
-        ny = float(np.sqrt(y @ y))
-        if ny == 0.0:
-            return 0.0, x0
-        x = y / ny
-        new = float(x @ (g @ x))
-        if abs(new - lam) <= 1e-16 * max(abs(new), 1.0):
-            return new, x
-        lam = new
-    return lam, x
+        return float(np.linalg.norm(a, 2))
+    if not a.any():
+        # ARPACK cannot start from the zero residual a zero operator gives.
+        return 0.0
+    v0_key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
+    v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
+    try:
+        top = svds(a, k=1, tol=0, v0=v0, maxiter=max_iter, return_singular_vectors=False)
+    except ArpackError as exc:
+        raise ConvergenceError(f"spectral norm: {exc}") from exc
+    return float(top[0])
 
 
 def _center_rows(c) -> np.ndarray:

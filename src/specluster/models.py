@@ -8,6 +8,7 @@ seeded samplers with entry-level stream splitting, and the on-disk format
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -294,31 +295,57 @@ def expected_from_truth(model: MixtureModel, truth) -> np.ndarray:
 
 
 def write_matrix_market(path, matrix: np.ndarray) -> None:
-    """Write a dense 0/1 matrix in Matrix Market array format (column-major)."""
+    """Write a dense 0/1 matrix in Matrix Market array format (column-major).
+
+    Each entry is one line holding the digit 0 or 1; any other entry raises
+    :class:`InvalidInputError`.
+    """
     matrix = as_matrix(matrix)
+    ones = matrix == 1.0
+    if not np.all(ones | (matrix == 0.0)):
+        raise InvalidInputError("Matrix Market output takes 0/1 entries only")
     m, n = matrix.shape
-    lines = ["%%MatrixMarket matrix array integer general", f"{m} {n}"]
-    flat = matrix.T.reshape(-1)
-    lines.extend(str(int(v)) for v in flat)
-    Path(path).write_text("\n".join(lines) + "\n")
+    lines = np.full((n, m, 2), ord("\n"), dtype=np.uint8)
+    lines[:, :, 0] = np.where(ones.T, ord("1"), ord("0"))
+    header = f"%%MatrixMarket matrix array integer general\n{m} {n}\n"
+    Path(path).write_bytes(header.encode() + lines.tobytes())
 
 
 def read_matrix_market(path) -> np.ndarray:
-    """Read a dense Matrix Market array file (integer or real field)."""
-    text = Path(path).read_text().splitlines()
-    if not text or not text[0].startswith("%%MatrixMarket"):
-        raise InvalidInputError(f"{path}: missing MatrixMarket header")
-    header = text[0].lower().split()
-    if len(header) < 4 or header[1] != "matrix" or header[2] != "array":
-        raise InvalidInputError(f"{path}: expected a dense 'matrix array' file")
-    body = [ln for ln in text[1:] if ln.strip() and not ln.lstrip().startswith("%")]
-    try:
-        m, n = (int(tok) for tok in body[0].split())
-        values = np.array([float(ln) for ln in body[1:]], dtype=np.float64)
-    except (ValueError, IndexError) as exc:
-        raise InvalidInputError(f"{path}: malformed Matrix Market body") from exc
-    if values.size != m * n:
-        raise InvalidInputError(f"{path}: expected {m * n} entries, found {values.size}")
+    """Read a dense Matrix Market array file (integer or real field).
+
+    After the header, blank lines and ``%`` comments are skipped; the first
+    line left holds the sizes ``m n`` and each later one a single entry, in
+    column-major order.  A malformed file raises :class:`InvalidInputError`.
+    """
+    # latin-1 decodes any byte, so a binary file fails the checks below.
+    with open(path, encoding="latin-1") as fh:
+        header = fh.readline()
+        if not header.startswith("%%MatrixMarket"):
+            raise InvalidInputError(f"{path}: missing MatrixMarket header")
+        tokens = header.lower().split()
+        if len(tokens) < 4 or tokens[1] != "matrix" or tokens[2] != "array":
+            raise InvalidInputError(f"{path}: expected a dense 'matrix array' file")
+        line = fh.readline()
+        while line and (not line.strip() or line.lstrip().startswith("%")):
+            line = fh.readline()
+        sizes = line.split()
+        if len(sizes) != 2 or not all(tok.isdecimal() for tok in sizes):
+            raise InvalidInputError(
+                f"{path}: size line must be two nonnegative integers 'm n', got {line.strip()!r}"
+            )
+        m, n = int(sizes[0]), int(sizes[1])
+        try:
+            with warnings.catch_warnings():
+                # An empty body is reported by the entry count below.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=np.float64, comments="%", ndmin=2)
+        except ValueError as exc:
+            raise InvalidInputError(f"{path}: malformed Matrix Market entry: {exc}") from exc
+    if values.shape != (m * n, 1):
+        raise InvalidInputError(
+            f"{path}: expected {m * n} entries, one per line, found {values.size}"
+        )
     return values.reshape((n, m)).T.copy()
 
 

@@ -81,9 +81,11 @@ def find_centers_detailed(
     matrix, k: int, seed: int, restarts: int = DEFAULT_RESTARTS
 ) -> CentersDetail:
     a = as_matrix(matrix)
-    m = a.shape[0]
+    m, n = a.shape
     if k > m:
         raise InvalidInputError(f"k={k} exceeds number of rows {m}")
+    if k > n:
+        raise InvalidInputError(f"k={k} exceeds number of columns {n}")
     approx = truncated_svd(a, k)
     # Rows of the rank-k matrix expressed in its right-singular basis: the
     # map is an isometry on the row space, so k-means sees identical
@@ -91,7 +93,7 @@ def find_centers_detailed(
     embedded = approx.left_vectors * approx.singular_values
     km = kmeans(embedded, k, restarts=restarts, seed=seed)
     sizes = np.bincount(km.labels, minlength=k)
-    centers = np.empty((k, a.shape[1]))
+    centers = np.empty((k, n))
     for r in range(k):
         centers[r] = a[km.labels == r].mean(axis=0)
     return CentersDetail(CenterSet(centers, sizes), km.labels, km, approx)

@@ -187,6 +187,31 @@ class TestCheck:
         proc = run_cli("check", "--data", str(prefix))
         assert proc.returncode == 2
 
+    def test_malformed_mtx_exits_2(self, tmp_path):
+        prefix = generate_noiseless(tmp_path)
+        (tmp_path / "noiseless.mtx").write_text(
+            "%%MatrixMarket matrix array integer general\n-4 -2\n" + "0\n" * 8
+        )
+        proc = run_cli("check", "--data", str(prefix))
+        assert proc.returncode == 2
+        assert "size line must be two nonnegative integers" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_arpack_failure_exits_1(self, tmp_path, monkeypatch, capsys):
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        import specluster.linalg
+        from specluster.cli import main
+
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("No convergence", [], [])
+
+        out = tmp_path / "big"
+        run_cli("generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", str(out))
+        monkeypatch.setattr(specluster.linalg, "svds", no_convergence)
+        assert main(["check", "--data", str(out)]) == 1
+        assert "convergence failure" in capsys.readouterr().err
+
 
 class TestSweep:
     def spec_file(self, tmp_path, trials=1):
@@ -224,6 +249,29 @@ class TestSweep:
         proc = run_cli("sweep", "--spec", str(path), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
         assert not (tmp_path / "x.csv").exists()
+
+    def test_blas_threads_do_not_change_outputs(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(
+            json.dumps(
+                {
+                    "family": "bsbm",
+                    "axes": {"p": [0.2, 0.45]},
+                    "fixed": {"m": 400, "n": 400, "k": 2, "q": 0.05},
+                    "trials_per_cell": 1,
+                    "base_seed": 0,
+                    "diagnostics": ["conditions", "center_error"],
+                }
+            )
+        )
+        for threads in ("1", "2"):
+            proc = run_cli(
+                "sweep", "--spec", str(spec), "--out", str(tmp_path / f"t{threads}"),
+                "--trial-log", env_extra={"OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
+        assert (tmp_path / "t1.jsonl").read_bytes() == (tmp_path / "t2.jsonl").read_bytes()
 
 
 class TestRoundTrip:

@@ -74,6 +74,24 @@ class TestSweepSpec:
         with pytest.raises(InvalidInputError):
             noiseless_spec(diagnostics=("bogus",))
 
+    def test_diagnostics_must_be_a_list(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "family": "bsbm",
+                    "axes": {"p": [0.4]},
+                    "fixed": {"m": 10, "n": 8, "k": 2, "q": 0.1},
+                    "trials_per_cell": 1,
+                    "diagnostics": "margins",
+                }
+            )
+        )
+        with pytest.raises(InvalidInputError, match="diagnostics must be a list of names"):
+            SweepSpec.from_json(path)
+        with pytest.raises(InvalidInputError, match="diagnostics must be a list of names"):
+            noiseless_spec(diagnostics="margins")
+
     def test_cells_are_cartesian_product(self):
         spec = SweepSpec(
             family="bsbm",

@@ -100,11 +100,25 @@ class TestTruncatedSvd:
             )
 
 
+def cutover_inputs():
+    """Inputs on both sides of the 64 cutover between LAPACK and ARPACK,
+    plus a rank-1 and an all-zero matrix above it."""
+    rs = np.random.RandomState(12)
+    shapes = [(30, 20), (64, 200), (65, 300), (300, 65), (400, 400)]
+    shaped = [random_matrix(60 + i, m, n) for i, (m, n) in enumerate(shapes)]
+    return shaped + [np.outer(rs.rand(100), rs.rand(80)), np.zeros((100, 80))]
+
+
 class TestNorms:
     def test_spectral_examples(self):
         assert spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0)
         assert spectral_norm(np.zeros((4, 5))) == 0.0
         assert spectral_norm(np.array([[1.0, 1.0], [1.0, 0.0]])) == pytest.approx(GOLDEN)
+        assert spectral_norm(np.zeros((100, 80))) == 0.0
+        u, v = np.arange(1.0, 101.0), np.linspace(-1.0, 1.0, 80)
+        assert spectral_norm(np.outer(u, v)) == pytest.approx(
+            np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12
+        )
 
     def test_frobenius_examples(self):
         assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
@@ -116,14 +130,26 @@ class TestNorms:
             a = random_matrix(50 + seed, 150, 220)
             ref = np.linalg.svd(a, compute_uv=False)[0]
             assert spectral_norm(a) == pytest.approx(ref, rel=1e-6)
+        for a in cutover_inputs():
+            ref = np.linalg.svd(a, compute_uv=False)[0]
+            got = spectral_norm(a)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert spectral_norm(a.copy()) == got  # fixed start vector: bit-stable
 
     def test_norm_inequalities(self):
+        cases = []
         for seed in range(20):
             m, n = np.random.RandomState(seed).randint(2, 40, size=2)
-            a = random_matrix(seed, m, n, scale=3.0)
+            cases.append(random_matrix(seed, m, n, scale=3.0))
+        for a in cases + cutover_inputs():
+            m, n = a.shape
             spec, frob = spectral_norm(a), frobenius_norm(a)
             assert spec <= frob + 1e-9
             assert frob <= np.sqrt(min(m, n)) * spec + 1e-9
+
+    def test_spectral_arpack_failure_is_convergence_error(self):
+        with pytest.raises(ConvergenceError):
+            spectral_norm(random_matrix(50, 150, 220), max_iter=1)
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):

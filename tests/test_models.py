@@ -24,6 +24,7 @@ from specluster import (
     save_dataset,
     separation,
 )
+from specluster.models import read_matrix_market, write_matrix_market
 
 
 class TestMixtureModel:
@@ -254,6 +255,69 @@ class TestSerialization:
         json_path.write_text("{not json")
         with pytest.raises(InvalidInputError):
             load_dataset(prefix)
+
+
+MTX_HEADER = "%%MatrixMarket matrix array integer general\n"
+
+
+class TestMatrixMarketGrammar:
+    def test_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "c.mtx"
+        path.write_text(
+            MTX_HEADER + "% a comment\n\n  2 3\n1\n\n% mid-body\n0\n  1.0  \n"
+            "0 % trailing\n1e0\n\n0\n"
+        )
+        matrix = read_matrix_market(path)
+        assert np.array_equal(matrix, [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]])
+
+    def test_real_field_and_empty_matrix(self, tmp_path):
+        path = tmp_path / "r.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n2 1\n0.0\n1.000\n")
+        assert np.array_equal(read_matrix_market(path), [[0.0], [1.0]])
+        path.write_text(MTX_HEADER + "0 4\n")
+        assert read_matrix_market(path).shape == (0, 4)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "",
+            "%%MatrixMarket matrix coordinate integer general\n1 1 1\n1 1 1\n",
+            MTX_HEADER,
+            MTX_HEADER + "-2 2\n1\n1\n1\n1\n",
+            MTX_HEADER + "2 -2\n",
+            MTX_HEADER + "2.5 2\n1\n",
+            MTX_HEADER + "2 x\n1\n",
+            MTX_HEADER + "2\n1\n1\n",
+            MTX_HEADER + "2 2 4\n1\n1\n1\n1\n",
+            MTX_HEADER + "2 1\n1\nzero\n",
+            MTX_HEADER + "2 1\n0 1\n",
+            MTX_HEADER + "2 2\n1\n0\n1\n",
+            MTX_HEADER + "1 1\n1\n0\n",
+            MTX_HEADER + "1 1\n\xff\n",
+        ],
+        ids=[
+            "empty-file", "coordinate", "no-size-line", "negative-rows",
+            "negative-cols", "fractional-size", "non-integer-size", "one-size-token",
+            "three-size-tokens", "unparsable-entry", "two-entries-on-a-line",
+            "too-few-entries", "too-many-entries", "non-ascii-entry",
+        ],
+    )
+    def test_malformed_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.mtx"
+        path.write_text(content, encoding="latin-1")
+        with pytest.raises(InvalidInputError, match="bad.mtx"):
+            read_matrix_market(path)
+
+    def test_writer_rejects_non_binary(self, tmp_path):
+        for bad in ([[0.0, 0.5]], [[2.0]], [[-1.0, 0.0]]):
+            with pytest.raises(InvalidInputError):
+                write_matrix_market(tmp_path / "w.mtx", np.array(bad))
+        assert not (tmp_path / "w.mtx").exists()
+
+    def test_writer_bytes(self, tmp_path):
+        path = tmp_path / "w.mtx"
+        write_matrix_market(path, np.array([[1.0, 0.0, -0.0], [0.0, 1.0, 1.0]]))
+        assert path.read_bytes() == (MTX_HEADER + "2 3\n1\n0\n0\n1\n0\n1\n").encode()
 
 
 def test_dataset_rejects_non_binary():

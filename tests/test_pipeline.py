@@ -60,6 +60,12 @@ class TestFindCenters:
         with pytest.raises(InvalidInputError):
             find_centers(np.zeros((2, 3)), 3, seed=0)
 
+    def test_k_exceeding_columns(self):
+        with pytest.raises(InvalidInputError, match="k=2 exceeds number of columns 1"):
+            cluster(np.ones((20, 1)), 2, 0)
+        with pytest.raises(InvalidInputError, match="k=3 exceeds number of columns 2"):
+            find_centers(np.zeros((6, 2)), 3, seed=0)
+
     def test_center_error_bound_smoke(self):
         # Light version of the in-regime bound check; the full-scale run
         # lives in the acceptance suite.
