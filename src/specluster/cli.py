@@ -168,7 +168,7 @@ def cmd_check(args) -> int:
 
 def cmd_sweep(args) -> int:
     spec = SweepSpec.from_json(args.spec)
-    result = run_sweep(spec, threads=args.threads)
+    result = run_sweep(spec, workers=args.workers)
     csv_path = Path(args.out).with_suffix(".csv")
     write_csv(result, csv_path)
     out = {
@@ -217,7 +217,9 @@ def build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep", help="run a Monte-Carlo parameter sweep")
     swp.add_argument("--spec", required=True, help="sweep spec JSON file")
     swp.add_argument("--out", required=True, help="output path prefix")
-    swp.add_argument("--threads", type=int, default=1)
+    swp.add_argument(
+        "--workers", type=int, help="trial processes (default: usable CPUs, at most one per trial)"
+    )
     swp.add_argument("--trial-log", action="store_true", help="also write per-trial JSON Lines")
     swp.set_defaults(func=cmd_sweep)
     return parser

@@ -14,7 +14,9 @@ import csv
 import hashlib
 import itertools
 import json
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,8 +226,8 @@ def run_trial(spec: SweepSpec, params: dict, trial: int) -> TrialRecord:
 
 def _run_diagnostics(spec, dataset: BinaryDataset, model, k, seed) -> dict:
     out: dict = {}
-    expected = expected_from_truth(model, dataset.truth)
-    noise = spectral_norm(dataset.matrix - expected)
+    if {"conditions", "center_error"} & set(spec.diagnostics):
+        noise = spectral_norm(dataset.matrix - expected_from_truth(model, dataset.truth))
     if "conditions" in spec.diagnostics:
         report = condition_report(dataset, spectral_noise=noise)
         out["talagrand_ratio"] = report.talagrand_ratio
@@ -292,33 +294,48 @@ def _aggregate(spec: SweepSpec, params: dict, records: list[TrialRecord]) -> Cel
     return CellAggregate(params, trials, exact_count, mean_accuracy, diag)
 
 
-def run_sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (cell, trial) and aggregate per cell.
 
-    All cells are validated before any trial runs.  With ``threads > 1``
-    trials execute in a thread pool; records are reduced in sorted order so
-    the result does not depend on completion order.
+    All cells are validated before any trial runs.  Trials run in a pool of
+    ``workers`` processes (default: the CPUs this process may use, capped at
+    the number of trials).  Workers are forked rather than spawned, so they
+    do not pay the package import again; with one worker, or where ``fork``
+    is unavailable, trials run inline.  Records are collected in grid order,
+    so the result is the same for every worker count.  When trials raise,
+    the queued ones are cancelled and the error of the first failing trial
+    in grid order is re-raised, as the inline run would raise it.
     """
+    if workers is not None and workers < 1:
+        raise InvalidInputError(f"workers must be at least 1, got {workers}")
     cells = spec.cells()
     for params in cells:
         build_cell(spec.family, params)
 
-    tasks = [(ci, params, t) for ci, params in enumerate(cells) for t in range(spec.trials_per_cell)]
-    results: dict[tuple[int, int], TrialRecord] = {}
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {
-                pool.submit(run_trial, spec, params, t): (ci, t) for ci, params, t in tasks
-            }
-            for future, key in futures.items():
-                results[key] = future.result()
+    tasks = [(params, t) for params in cells for t in range(spec.trials_per_cell)]
+    workers = min(workers or _usable_cpus(), len(tasks))
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            records = tuple(
+                pool.map(run_trial, itertools.repeat(spec), *zip(*tasks), chunksize=1)
+            )
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        for ci, params, t in tasks:
-            results[(ci, t)] = run_trial(spec, params, t)
+        records = tuple(run_trial(spec, params, t) for params, t in tasks)
 
-    records = tuple(results[key] for key in sorted(results))
+    per_cell = spec.trials_per_cell
     aggregates = tuple(
-        _aggregate(spec, params, [results[(ci, t)] for t in range(spec.trials_per_cell)])
+        _aggregate(spec, params, list(records[ci * per_cell : (ci + 1) * per_cell]))
         for ci, params in enumerate(cells)
     )
     return SweepResult(spec, aggregates, records)

@@ -250,24 +250,51 @@ class TestSweep:
         assert proc.returncode == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_exits_2(self, tmp_path, workers):
+        spec = self.spec_file(tmp_path)
+        proc = run_cli(
+            "sweep", "--spec", str(spec), "--out", str(tmp_path / "x"), "--workers", workers
+        )
+        assert proc.returncode == 2
+        assert f"workers must be at least 1, got {workers}" in proc.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failing_trial_in_a_worker_exits_1(self, tmp_path, monkeypatch, capsys):
+        from specluster import ConvergenceError, harness
+        from specluster.cli import main
+
+        def no_convergence(matrix, k, seed):
+            raise ConvergenceError(f"trial seed {seed} did not converge")
+
+        spec = self.spec_file(tmp_path, trials=3)
+        monkeypatch.setattr(harness, "cluster", no_convergence)
+        out = tmp_path / "x"
+        assert main(["sweep", "--spec", str(spec), "--out", str(out), "--workers", "2"]) == 1
+        (params,) = harness.SweepSpec.from_json(spec).cells()
+        first = harness.derive(0, harness.cell_index(params), 0)
+        err = capsys.readouterr().err
+        assert f"convergence failure: trial seed {first} did not converge" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_blas_threads_do_not_change_outputs(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(
             json.dumps(
                 {
                     "family": "bsbm",
-                    "axes": {"p": [0.2, 0.45]},
-                    "fixed": {"m": 400, "n": 400, "k": 2, "q": 0.05},
+                    "axes": {"p": [0.2, 0.45], "k": [2, 4]},
+                    "fixed": {"m": 400, "n": 400, "q": 0.05},
                     "trials_per_cell": 1,
                     "base_seed": 0,
-                    "diagnostics": ["conditions", "center_error"],
+                    "diagnostics": ["conditions", "center_error", "overlap", "margins"],
                 }
             )
         )
         for threads in ("1", "2"):
             proc = run_cli(
                 "sweep", "--spec", str(spec), "--out", str(tmp_path / f"t{threads}"),
-                "--trial-log", env_extra={"OPENBLAS_NUM_THREADS": threads},
+                "--trial-log", "--workers", "2", env_extra={"OPENBLAS_NUM_THREADS": threads},
             )
             assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()

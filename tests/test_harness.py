@@ -1,10 +1,19 @@
 import json
+import time
 
 import numpy as np
 import pytest
 
-from specluster import InvalidInputError, SweepSpec, cell_index, derive, run_sweep
-from specluster.harness import csv_columns, write_csv, write_records_jsonl
+from specluster import (
+    ConvergenceError,
+    InvalidInputError,
+    SweepSpec,
+    cell_index,
+    derive,
+    harness,
+    run_sweep,
+)
+from specluster.harness import DIAGNOSTICS, csv_columns, write_csv, write_records_jsonl
 from specluster.rng import TAG_TRIAL, mix64
 
 
@@ -176,17 +185,68 @@ class TestRunSweep:
             assert record.exact == twin.exact
             assert record.accuracy == twin.accuracy
 
-    def test_threads_match_serial(self):
+    def test_worker_count_does_not_change_outputs(self, tmp_path):
         spec = SweepSpec(
             family="bsbm",
             axes={"p": [0.35, 0.45]},
-            fixed={"m": 16, "n": 12, "k": 2, "q": 0.05},
+            fixed={"m": 40, "n": 30, "k": 2, "q": 0.05},
             trials_per_cell=3,
             base_seed=1,
+            diagnostics=DIAGNOSTICS,
+            margin_draws=50,
         )
-        serial = run_sweep(spec, threads=1)
-        parallel = run_sweep(spec, threads=4)
-        assert [r.to_json() for r in serial.records] == [r.to_json() for r in parallel.records]
+        outputs = set()
+        for workers in (1, 2, 3):
+            result = run_sweep(spec, workers=workers)
+            csv_path, jsonl_path = tmp_path / f"w{workers}.csv", tmp_path / f"w{workers}.jsonl"
+            write_csv(result, csv_path)
+            write_records_jsonl(result, jsonl_path)
+            outputs.add((csv_path.read_bytes(), jsonl_path.read_bytes()))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_rejects_worker_count_below_one(self, workers):
+        with pytest.raises(InvalidInputError, match="workers must be at least 1"):
+            run_sweep(noiseless_spec(trials=2), workers=workers)
+
+    def test_pool_error_is_first_failure_in_grid_order(self, monkeypatch):
+        spec = noiseless_spec(trials=3, axes={"m": [20, 24]})
+        seeds = [derive(0, cell_index(params), t) for params in spec.cells() for t in range(3)]
+        real_cluster = harness.cluster
+
+        def failing_cluster(matrix, k, seed):
+            if seed == seeds[1]:
+                time.sleep(0.6)  # fails after the later trial below
+                raise ConvergenceError(f"trial seed {seed} did not converge")
+            if seed == seeds[3]:
+                raise ConvergenceError(f"trial seed {seed} did not converge")
+            time.sleep(0.2)
+            return real_cluster(matrix, k, seed)
+
+        monkeypatch.setattr(harness, "cluster", failing_cluster)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(ConvergenceError) as info:
+                run_sweep(spec, workers=workers)
+            messages.append(str(info.value))
+        assert messages == [f"trial seed {seeds[1]} did not converge"] * 2
+
+    def test_pool_cancels_queued_trials_after_a_failure(self, monkeypatch, tmp_path):
+        spec = noiseless_spec(trials=12)
+        first = derive(0, cell_index(spec.cells()[0]), 0)
+        real_cluster = harness.cluster
+
+        def failing_cluster(matrix, k, seed):
+            (tmp_path / str(seed)).touch()
+            if seed == first:
+                raise ConvergenceError("first trial failed")
+            time.sleep(0.2)
+            return real_cluster(matrix, k, seed)
+
+        monkeypatch.setattr(harness, "cluster", failing_cluster)
+        with pytest.raises(ConvergenceError, match="first trial failed"):
+            run_sweep(spec, workers=2)
+        assert len(list(tmp_path.iterdir())) < 12
 
     def test_aggregates_recomputable_from_records(self):
         spec = noiseless_spec(trials=4)
@@ -223,6 +283,33 @@ class TestRunSweep:
         }
         record = result.records[0]
         assert 0.0 <= record.diagnostics["margin_correct_fraction"] <= 1.0
+
+    @pytest.mark.parametrize(
+        "diagnostics, norms",
+        [(("overlap",), 0), (("margins",), 0), (("conditions",), 2), (("center_error",), 2)],
+    )
+    def test_spectral_norm_only_for_diagnostics_that_read_it(
+        self, monkeypatch, diagnostics, norms
+    ):
+        calls = []
+        real_norm = harness.spectral_norm
+
+        def counting_norm(a):
+            calls.append(a.shape)
+            return real_norm(a)
+
+        monkeypatch.setattr(harness, "spectral_norm", counting_norm)
+        spec = SweepSpec(
+            family="bsbm",
+            axes={"p": [0.45]},
+            fixed={"m": 40, "n": 30, "k": 2, "q": 0.05},
+            trials_per_cell=2,
+            base_seed=0,
+            diagnostics=diagnostics,
+            margin_draws=50,
+        )
+        run_sweep(spec, workers=1)
+        assert len(calls) == norms
 
     def test_csv_columns_documented_order(self, tmp_path):
         spec = SweepSpec(
