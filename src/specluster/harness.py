@@ -11,6 +11,7 @@ with a deterministic reduction.
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import itertools
 import json
@@ -302,6 +303,42 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+# Thread-count setters exported by OpenBLAS builds: plain, 64-bit-integer
+# and the scipy-openblas wheels' prefixed variants.
+_OPENBLAS_SETTERS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Limit every OpenBLAS loaded in this process to one thread.
+
+    Runs in each pool worker: the workers already fill the CPUs, and BLAS
+    threads on top of them oversubscribe the CPUs.  numpy and scipy may each
+    bundle their own OpenBLAS, so every loaded copy is set.  The libraries
+    are found in ``/proc/self/maps``; where it is absent this does nothing.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(maxsplit=5) for line in maps)
+            paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was loaded
+            continue
+        for name in _OPENBLAS_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+
+
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (cell, trial) and aggregate per cell.
 
@@ -313,6 +350,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     so the result is the same for every worker count.  When trials raise,
     the queued ones are cancelled and the error of the first failing trial
     in grid order is re-raised, as the inline run would raise it.
+
+    Forking copies only the calling thread.  A caller that has other
+    threads running should pass ``workers=1``: a lock one of them holds at
+    the fork stays held in the workers, and Python 3.12+ warns.  OpenBLAS
+    stops its own thread pool before a fork, so unpinned BLAS threads are
+    safe; each worker then runs OpenBLAS on one thread.
     """
     if workers is not None and workers < 1:
         raise InvalidInputError(f"workers must be at least 1, got {workers}")
@@ -323,7 +366,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     tasks = [(params, t) for params in cells for t in range(spec.trials_per_cell)]
     workers = min(workers or _usable_cpus(), len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        pool = ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+        )
         try:
             records = tuple(
                 pool.map(run_trial, itertools.repeat(spec), *zip(*tasks), chunksize=1)

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -299,6 +301,44 @@ class TestSweep:
             assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "t1.csv").read_bytes() == (tmp_path / "t2.csv").read_bytes()
         assert (tmp_path / "t1.jsonl").read_bytes() == (tmp_path / "t2.jsonl").read_bytes()
+
+    def test_pool_completes_with_blas_unpinned(self, tmp_path):
+        # The parent forks its workers while OpenBLAS's own threads are
+        # alive; the pool must neither hang nor change the outputs.
+        script = textwrap.dedent(
+            """
+            import sys
+            from pathlib import Path
+            import numpy as np
+            from specluster import SweepSpec, run_sweep, write_csv, write_records_jsonl
+            a = np.ones((400, 400)); a @ a
+            status = Path("/proc/self/status")
+            if status.is_file():
+                print(status.read_text().split("Threads:")[1].split()[0])
+            spec = SweepSpec(
+                family="bsbm", axes={"p": [0.2, 0.45], "k": [2, 4]},
+                fixed={"m": 400, "n": 400, "q": 0.05}, trials_per_cell=1, base_seed=0,
+                diagnostics=("conditions", "center_error", "overlap", "margins"),
+            )
+            result = run_sweep(spec, workers=int(sys.argv[1]))
+            write_csv(result, sys.argv[2] + ".csv")
+            write_records_jsonl(result, sys.argv[2] + ".jsonl")
+            """
+        )
+        env = cli_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        for workers, extra in (("1", {"OPENBLAS_NUM_THREADS": "1"}), ("2", {})):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, workers, str(tmp_path / f"w{workers}")],
+                capture_output=True, text=True, env={**env, **extra}, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        threads = proc.stdout.split()
+        if threads and len(os.sched_getaffinity(0)) > 1:
+            assert int(threads[0]) > 1  # BLAS threads were running at the fork
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+        assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
 
 
 class TestRoundTrip:

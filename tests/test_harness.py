@@ -1,4 +1,6 @@
+import ctypes
 import json
+import os
 import time
 
 import numpy as np
@@ -15,6 +17,23 @@ from specluster import (
 )
 from specluster.harness import DIAGNOSTICS, csv_columns, write_csv, write_records_jsonl
 from specluster.rng import TAG_TRIAL, mix64
+
+
+def openblas_thread_counts() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process."""
+    with open("/proc/self/maps") as maps:
+        fields = (line.split(maxsplit=5) for line in maps)
+        paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                if getter is not None:
+                    getter.argtypes, getter.restype = [], ctypes.c_int
+                    counts.append(getter())
+    return counts
 
 
 def noiseless_spec(trials=5, **overrides):
@@ -247,6 +266,20 @@ class TestRunSweep:
         with pytest.raises(ConvergenceError, match="first trial failed"):
             run_sweep(spec, workers=2)
         assert len(list(tmp_path.iterdir())) < 12
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        if not openblas_thread_counts():
+            pytest.skip("numpy does not use OpenBLAS here")
+        real_cluster = harness.cluster
+
+        def checked_cluster(matrix, k, seed):
+            counts = openblas_thread_counts()
+            assert set(counts) == {1}, f"worker OpenBLAS threads: {counts}"
+            return real_cluster(matrix, k, seed)
+
+        monkeypatch.setattr(harness, "cluster", checked_cluster)
+        run_sweep(noiseless_spec(trials=2), workers=2)
 
     def test_aggregates_recomputable_from_records(self):
         spec = noiseless_spec(trials=4)
