@@ -14,18 +14,19 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import condition_report, score
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
 from .harness import SweepSpec, run_sweep, write_csv, write_records_jsonl
 from .models import (
     BsbmParams,
     MixtureModel,
+    bsbm_from_spec,
     bsbm_to_mixture,
     load_dataset,
+    mixture_from_spec,
     sample,
     save_dataset,
+    spec_value,
 )
 from .pipeline import cluster_detailed
 
@@ -70,16 +71,7 @@ def _bsbm_from_inline(text: str) -> BsbmParams:
     missing = {"m", "n", "k", "p", "q"} - set(fields)
     if missing:
         raise InvalidInputError(f"--bsbm is missing {sorted(missing)}")
-    try:
-        return BsbmParams.balanced(
-            m=int(fields["m"]),
-            n=int(fields["n"]),
-            k=int(fields["k"]),
-            p=float(fields["p"]),
-            q=float(fields["q"]),
-        )
-    except ValueError as exc:
-        raise InvalidInputError(f"bad --bsbm value: {exc}") from exc
+    return bsbm_from_spec(fields, "--bsbm")
 
 
 def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
@@ -87,34 +79,19 @@ def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
         obj = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise InvalidInputError(f"cannot read model file {path}: {exc}") from exc
+    where = f"model file {path}"
+    if not isinstance(obj, dict):
+        raise InvalidInputError(f"{where} must hold a JSON object, got {type(obj).__name__}")
     kind = obj.get("kind")
     try:
         if kind == "bsbm":
-            if "left_sizes" in obj or "right_assignment" in obj:
-                params = BsbmParams(
-                    m=int(obj["m"]),
-                    n=int(obj["n"]),
-                    k=int(obj["k"]),
-                    p=float(obj["p"]),
-                    q=float(obj["q"]),
-                    left_sizes=tuple(int(s) for s in obj["left_sizes"]),
-                    right_assignment=np.asarray(obj["right_assignment"], dtype=np.int64),
-                )
-            else:
-                params = BsbmParams.balanced(
-                    int(obj["m"]), int(obj["n"]), int(obj["k"]), float(obj["p"]), float(obj["q"])
-                )
+            params = bsbm_from_spec(obj, where)
             return bsbm_to_mixture(params), params.m, params
         if kind == "mixture":
-            model = MixtureModel(
-                np.asarray(obj["means"], dtype=np.float64),
-                np.asarray(obj["weights"], dtype=np.float64),
-                sigma_sq=obj.get("sigma_sq"),
-            )
-            return model, int(obj["m"]), None
+            return mixture_from_spec(obj, where), spec_value(obj, "m", int, where), None
     except KeyError as exc:
-        raise InvalidInputError(f"model file {path} is missing field {exc}") from exc
-    raise InvalidInputError(f"model file {path}: 'kind' must be 'bsbm' or 'mixture'")
+        raise InvalidInputError(f"{where} is missing field {exc}") from exc
+    raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
 
 def cmd_generate(args) -> int:
@@ -143,8 +120,12 @@ def cmd_cluster(args) -> int:
     if dataset.m < 2 * args.k:
         raise InvalidInputError(f"need m >= 2k, got m={dataset.m}, k={args.k}")
     detail = cluster_detailed(dataset.matrix, args.k, seed)
-    Path(args.out).write_text(json.dumps(detail.labels.tolist()) + "\n")
+    labels = detail.labels.tolist()
+    Path(args.out).write_text(json.dumps(labels) + "\n")
     _log(args, f"wrote labels to {args.out}")
+    empty = args.k - len(set(labels))
+    if empty:
+        print(f"warning: {empty} of the {args.k} clusters are empty", file=sys.stderr)
     out: dict = {"labels_path": str(args.out)}
     if dataset.truth is not None:
         out.update(score(detail.labels, dataset.truth, args.k).to_json())

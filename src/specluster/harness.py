@@ -36,11 +36,12 @@ from .errors import InvalidInputError
 from .linalg import spectral_norm
 from .models import (
     BinaryDataset,
-    BsbmParams,
-    MixtureModel,
+    bsbm_from_spec,
     bsbm_to_mixture,
     expected_from_truth,
+    mixture_from_spec,
     sample,
+    spec_value,
 )
 from .pipeline import cluster, find_centers_detailed
 
@@ -67,7 +68,8 @@ class SweepSpec:
 
     ``axes`` maps parameter names to value lists; cells are the cartesian
     product of the axes merged over ``fixed``.  ``family`` selects the model
-    builder: "bsbm" (parameters m, n, k, p, q; balanced clusters) or
+    builder: "bsbm" (parameters m, n, k, p, q; balanced clusters unless
+    left_sizes and right_assignment are given, as in a model file) or
     "general" (parameters m, means, weights, and optionally sigma_sq).
     """
 
@@ -149,24 +151,15 @@ def derive(base_seed, cell, trial):
 
 def build_cell(family: str, params: dict):
     """Validate one cell and return (model, m, k, bsbm-or-None)."""
+    where = f"cell {params}"
     try:
         if family == "bsbm":
-            bsbm = BsbmParams.balanced(
-                m=int(params["m"]),
-                n=int(params["n"]),
-                k=int(params["k"]),
-                p=float(params["p"]),
-                q=float(params["q"]),
-            )
+            bsbm = bsbm_from_spec(params, where)
             return bsbm_to_mixture(bsbm), bsbm.m, bsbm.k, bsbm
-        model = MixtureModel(
-            np.asarray(params["means"], dtype=np.float64),
-            np.asarray(params["weights"], dtype=np.float64),
-            sigma_sq=params.get("sigma_sq"),
-        )
-        return model, int(params["m"]), model.k, None
+        model = mixture_from_spec(params, where)
+        return model, spec_value(params, "m", int, where), model.k, None
     except KeyError as exc:
-        raise InvalidInputError(f"cell {params} is missing parameter {exc}") from exc
+        raise InvalidInputError(f"{where} is missing parameter {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,16 @@ The truncated SVD is self-contained by design: block power iteration
 large inputs, and a full eigendecomposition of the Gram matrix by cyclic
 Jacobi rotations when the small dimension is at most ``JACOBI_CUTOVER``.
 The Jacobi path doubles as an independent oracle for the iterative path,
-which is why both are kept side by side.  The spectral norm decides no
-label, so it runs on compiled kernels instead: LAPACK for small inputs and
-ARPACK for the top singular value of large ones.
+which is why both are kept side by side.  Each Jacobi rotation runs in place
+on a two-row and a two-column view, bit-identical to the textbook loop in
+``tests/oracles.py``.  The spectral norm decides no label, so it runs on
+compiled kernels instead: LAPACK for small inputs and ARPACK for the top
+singular value of large ones.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -124,43 +127,55 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
     Returns eigenvalues in descending order and the matching eigenvector
     columns.  Convergence: off-diagonal Frobenius mass at most ``tol`` times
     the Frobenius norm of the input.
+
+    Each rotation runs in place on rows p and q of the matrix, then on
+    columns p and q of the matrix and eigenvectors, stacked in one
+    ``(2n, n)`` array.  IEEE rounds ``c*x + (-s)*y`` as ``c*x - s*y`` and
+    addition commutes, so the bytes match the textbook loop
+    ``jacobi_eigh_reference`` in ``tests/oracles.py``.
     """
-    a = np.array(sym, dtype=np.float64, copy=True)
-    n = a.shape[0]
-    v = np.eye(n)
+    n = sym.shape[0]
+    av = np.empty((2 * n, n))
+    a, v = av[:n], av[n:]
+    a[...] = sym
+    v[...] = np.eye(n)
     fro = float(np.sqrt(np.sum(a * a))) or 1.0
     skip = tol * fro / max(4 * n, 4)
+    # rot = [[c, -s], [s, c]] rotates a (2, L) pair x into
+    # rot3[:, 0] * x[0] + rot3[:, 1] * x[1]: one multiply, one add.
+    rot = np.empty((2, 2))
+    rot3 = rot[:, :, None]
+    row_prod, col_prod = np.empty((2, 2, n)), np.empty((2, 2, 2 * n))
     for _ in range(max_sweeps):
         off = a - np.diag(np.diag(a))
         if float(np.sqrt(np.sum(off * off))) <= tol * fro:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = a.item(p, q)
                 if abs(apq) <= skip:
                     continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
+                tau = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
                 sgn = 1.0 if tau >= 0 else -1.0
-                t = sgn / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
+                t = sgn / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
+                rot[0, 0] = rot[1, 1] = c
+                rot[0, 1] = -s
+                rot[1, 0] = s
+                rows = a[p : q + 1 : q - p]
+                np.multiply(rot3, rows, out=row_prod)
+                np.add(row_prod[:, 0], row_prod[:, 1], out=rows)
+                cols = av[:, p : q + 1 : q - p].T
+                np.multiply(rot3, cols, out=col_prod)
+                np.add(col_prod[:, 0], col_prod[:, 1], out=cols)
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], v[:, order]
 
 
-def _paired_vectors(a: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Left factors ``a @ v / s``, with directions for negligible s padded in."""
-    w = a @ v
+def _left_vectors(w: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Orthonormal columns ``w / s``, with directions for negligible s padded in."""
     q = np.empty_like(w)
     thresh = (float(s[0]) if s.size else 0.0) * 1e-7 + 1e-300
     for i in range(s.size):
@@ -185,11 +200,11 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if n <= m:
         lam, v = _jacobi_eigh(a.T @ a)
         s = np.sqrt(np.clip(lam, 0.0, None))
-        u = _paired_vectors(a, v, s)
+        u = _left_vectors(a @ v, s)
     else:
         lam, u = _jacobi_eigh(a @ a.T)
         s = np.sqrt(np.clip(lam, 0.0, None))
-        v = _paired_vectors(a.T, u, s)
+        v = _left_vectors(a.T @ u, s)
     return u, s, v
 
 
@@ -199,15 +214,7 @@ def _ritz_pairs(a: np.ndarray, v: np.ndarray):
     lam, q = _jacobi_eigh(w.T @ w)
     s = np.sqrt(np.clip(lam, 0.0, None))
     v_r = _orthonormal_columns(v @ q)
-    u_r = np.empty((a.shape[0], v.shape[1]))
-    wq = w @ q
-    thresh = (float(s[0]) if s.size else 0.0) * 1e-7 + 1e-300
-    for i in range(s.size):
-        if s[i] > thresh:
-            u_r[:, i] = wq[:, i] / s[i]
-        else:
-            u_r[:, i] = _fresh_direction(u_r, i)
-    u_r = _orthonormal_columns(u_r)
+    u_r = _left_vectors(w @ q, s)
     return u_r, s, v_r
 
 

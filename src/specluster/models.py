@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -357,11 +358,32 @@ def _model_to_json(model: MixtureModel) -> dict:
     }
 
 
-def _model_from_json(obj: dict) -> MixtureModel:
+def spec_value(spec: dict, key: str, convert, where: str):
+    """``convert(spec[key])``; a value it rejects raises InvalidInputError naming ``key``.
+
+    A missing key raises ``KeyError``, left for the caller to report.
+    """
+    try:
+        return convert(spec[key])
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{where}: bad value for {key!r}: {exc}") from exc
+
+
+_float_array = partial(np.asarray, dtype=np.float64)
+_int_array = partial(np.asarray, dtype=np.int64)
+
+
+def _int_tuple(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in value)
+
+
+def mixture_from_spec(spec: dict, where: str) -> MixtureModel:
+    """Mixture from a JSON spec's ``means``, ``weights`` and optional ``sigma_sq``."""
+    sigma_sq = spec.get("sigma_sq")
     return MixtureModel(
-        np.asarray(obj["means"], dtype=np.float64),
-        np.asarray(obj["weights"], dtype=np.float64),
-        sigma_sq=obj.get("sigma_sq"),
+        spec_value(spec, "means", _float_array, where),
+        spec_value(spec, "weights", _float_array, where),
+        sigma_sq=None if sigma_sq is None else spec_value(spec, "sigma_sq", float, where),
     )
 
 
@@ -377,15 +399,24 @@ def _bsbm_to_json(params: BsbmParams) -> dict:
     }
 
 
-def _bsbm_from_json(obj: dict) -> BsbmParams:
+def bsbm_from_spec(spec: dict, where: str) -> BsbmParams:
+    """B-SBM from a JSON spec's m, n, k, p and q.
+
+    With ``left_sizes`` or ``right_assignment`` present both are read;
+    otherwise the clusters are balanced (:meth:`BsbmParams.balanced`).
+    """
+    m, n, k = (spec_value(spec, key, int, where) for key in ("m", "n", "k"))
+    p, q = (spec_value(spec, key, float, where) for key in ("p", "q"))
+    if "left_sizes" not in spec and "right_assignment" not in spec:
+        return BsbmParams.balanced(m, n, k, p, q)
     return BsbmParams(
-        m=int(obj["m"]),
-        n=int(obj["n"]),
-        k=int(obj["k"]),
-        p=float(obj["p"]),
-        q=float(obj["q"]),
-        left_sizes=tuple(int(s) for s in obj["left_sizes"]),
-        right_assignment=np.asarray(obj["right_assignment"], dtype=np.int64),
+        m=m,
+        n=n,
+        k=k,
+        p=p,
+        q=q,
+        left_sizes=spec_value(spec, "left_sizes", _int_tuple, where),
+        right_assignment=spec_value(spec, "right_assignment", _int_array, where),
     )
 
 
@@ -437,9 +468,9 @@ def load_dataset(prefix) -> BinaryDataset:
             if sidecar.get("truth") is not None:
                 truth = np.asarray(sidecar["truth"], dtype=np.int64)
             if sidecar.get("model") is not None:
-                model = _model_from_json(sidecar["model"])
+                model = mixture_from_spec(sidecar["model"], f"sidecar {json_path} model")
             if sidecar.get("bsbm") is not None:
-                bsbm = _bsbm_from_json(sidecar["bsbm"])
+                bsbm = bsbm_from_spec(sidecar["bsbm"], f"sidecar {json_path} bsbm")
         except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
             raise InvalidInputError(f"malformed sidecar {json_path}: {exc}") from exc
     return BinaryDataset(matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed)

@@ -67,6 +67,24 @@ class TestGenerate:
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
 
+    @pytest.mark.parametrize(
+        "model, field",
+        [
+            ([{"kind": "bsbm"}], "JSON object"),
+            ({"kind": "bsbm", "m": "x", "n": 10, "k": 2, "p": 0.4, "q": 0.1}, "'m'"),
+            ({"kind": "mixture", "means": [[0.5, 0.5], [0.5]], "weights": [0.5, 0.5], "m": 8}, "'means'"),
+            ({"kind": "mixture", "means": [[0.5]], "weights": [1.0], "sigma_sq": "x", "m": 8}, "'sigma_sq'"),
+            ({"kind": "mixture", "means": [[0.5]], "weights": [1.0], "m": "x"}, "'m'"),
+        ],
+    )
+    def test_malformed_model_file_exits_2(self, tmp_path, capsys, model, field):
+        from specluster.cli import main
+
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps(model))
+        assert main(["generate", "--model", str(model_file), "--out", str(tmp_path / "d")]) == 2
+        assert field in capsys.readouterr().err
+
     def test_seed_precedence(self, tmp_path):
         flag = tmp_path / "flag"
         env = tmp_path / "env"
@@ -122,6 +140,19 @@ class TestCluster:
         assert out["exact"] is True
         labels = json.loads(labels_path.read_text())
         assert len(labels) == 16
+        assert "warning" not in proc.stderr
+
+    def test_empty_clusters_warn_on_stderr_only(self, tmp_path):
+        from specluster.models import BinaryDataset, save_dataset
+
+        prefix = tmp_path / "zero"
+        save_dataset(BinaryDataset(matrix=np.zeros((40, 10)), truth=None), prefix)
+        labels_path = tmp_path / "labels.json"
+        proc = run_cli("cluster", "--data", str(prefix), "--k", "2", "--out", str(labels_path))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"labels_path": str(labels_path)}
+        assert json.loads(labels_path.read_text()) == [0] * 40
+        assert "warning: 1 of the 2 clusters are empty" in proc.stderr
 
     def test_diagnostics_flag(self, tmp_path):
         prefix = generate_noiseless(tmp_path)
@@ -250,6 +281,24 @@ class TestSweep:
         path.write_text(json.dumps({"family": "bsbm", "axes": {}, "trials_per_cell": 1}))
         proc = run_cli("sweep", "--spec", str(path), "--out", str(tmp_path / "x"))
         assert proc.returncode == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_malformed_cell_value_exits_2(self, tmp_path, capsys):
+        from specluster.cli import main
+
+        path = tmp_path / "spec.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "family": "bsbm",
+                    "axes": {"p": [0.45]},
+                    "fixed": {"m": "x", "n": 12, "k": 2, "q": 0.05},
+                    "trials_per_cell": 1,
+                }
+            )
+        )
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "bad value for 'm'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_matching
+from oracles import brute_force_matching, jacobi_eigh_reference
+from specluster import linalg
 from specluster import (
     ConvergenceError,
     InvalidInputError,
     bsbm_to_mixture,
     BsbmParams,
+    cluster,
     expected_from_truth,
     frobenius_norm,
     jacobi_svd,
@@ -166,6 +168,41 @@ class TestJacobi:
             ref = np.sort(np.linalg.eigvalsh(s))[::-1]
             assert np.allclose(lam, ref, atol=1e-9 * max(1.0, np.abs(ref).max()))
             assert np.allclose(v @ np.diag(lam) @ v.T, s, atol=1e-8 * max(1.0, np.abs(ref).max()))
+
+    def test_eigh_bytes_match_textbook_loop(self):
+        rs = np.random.RandomState(23)
+        dup = rs.rand(30, 5)
+        dup = np.hstack([dup, dup[:, :2], dup[:, :1]])
+        bsbm = sample(bsbm_to_mixture(BsbmParams.balanced(400, 64, 2, 0.45, 0.05)), 400, 3).matrix
+        ritz = [w.T @ w for w in (rs.randn(400, 12), bsbm[:, :12] @ rs.rand(12, 12))]
+        inputs = [
+            np.array([[2.5]]),
+            np.array([[2.0, 1.0], [1.0, 3.0]]),
+            np.zeros((6, 6)),
+            np.diag([3.0, 3.0, 3.0, 1.0, 1.0]),
+            dup.T @ dup,
+            bsbm.T @ bsbm,
+            *ritz,
+        ]
+        q, _ = np.linalg.qr(rs.randn(6, 6))
+        inputs.append(q @ np.diag([4.0, 4.0, 1.0, 1.0, 1.0, 0.0]) @ q.T)  # repeated, rotated
+        for sym in inputs:
+            lam, v = _jacobi_eigh(sym)
+            ref_lam, ref_v = jacobi_eigh_reference(sym)
+            assert lam.tobytes() == ref_lam.tobytes()
+            assert v.tobytes() == ref_v.tobytes()
+            assert v.flags.c_contiguous == ref_v.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [64, 400])
+    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, n):
+        data = sample(bsbm_to_mixture(BsbmParams.balanced(400, n, 4, 0.45, 0.05)), 400, 7).matrix
+        labels = cluster(data, 4, 5)
+        approx = truncated_svd(data, 4)
+        monkeypatch.setattr(linalg, "_jacobi_eigh", jacobi_eigh_reference)
+        ref_approx = truncated_svd(data, 4)
+        assert cluster(data, 4, 5).tobytes() == labels.tobytes()
+        for name in ("left_vectors", "singular_values", "right_vectors"):
+            assert getattr(approx, name).tobytes() == getattr(ref_approx, name).tobytes()
 
     def test_svd_rank_deficient(self):
         rs = np.random.RandomState(5)
