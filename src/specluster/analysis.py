@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, match_center_sets, spectral_norm
+from .linalg import as_matrix, match_center_sets, spectral_norm, sq_dists
 from .models import BinaryDataset, MixtureModel, delta_v, expected_from_truth, separation
 from .pipeline import CenterSet
 
@@ -141,12 +141,7 @@ def score(predicted, truth, k: int) -> RecoveryScore:
     m = predicted.size
     if m == 0:
         raise InvalidInputError("cannot score an empty labeling")
-    for name, lab in (("predicted", predicted), ("truth", truth)):
-        if lab.min() < 0 or lab.max() >= k:
-            raise InvalidInputError(f"{name} labels out of range [0, {k})")
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (truth, predicted), 1)
-    rows, cols = linear_sum_assignment(-confusion)
+    confusion, rows, cols = _matched_confusion(truth, predicted, k)
     permutation = np.empty(k, dtype=np.int64)
     permutation[rows] = cols
     matched = int(confusion[rows, cols].sum())
@@ -156,6 +151,18 @@ def score(predicted, truth, k: int) -> RecoveryScore:
         confusion=confusion,
         permutation=permutation,
     )
+
+
+def _matched_confusion(truth: np.ndarray, predicted: np.ndarray, k: int):
+    """The k x k truth-by-predicted count matrix and the (rows, cols) assignment
+    maximizing its matched total; labels outside [0, k) raise InvalidInputError."""
+    for name, lab in (("predicted", predicted), ("truth", truth)):
+        if lab.size and (lab.min() < 0 or lab.max() >= k):
+            raise InvalidInputError(f"{name} labels out of range [0, {k})")
+    confusion = np.zeros((k, k), dtype=np.int64)
+    np.add.at(confusion, (truth, predicted), 1)
+    rows, cols = linear_sum_assignment(-confusion)
+    return confusion, rows, cols
 
 
 def match_centers_to_means(centers: CenterSet, model: MixtureModel) -> CenterSet:
@@ -220,14 +227,11 @@ def overlap_check(cluster_labels, truth, k: int) -> np.ndarray:
     truth = np.asarray(truth, dtype=np.int64)
     if cluster_labels.shape != truth.shape:
         raise InvalidInputError("labelings must have equal length")
-    overlap = np.zeros((k, k), dtype=np.int64)
-    np.add.at(overlap, (truth, cluster_labels), 1)
+    overlap, rows, cols = _matched_confusion(truth, cluster_labels, k)
     counts = overlap.sum(axis=1)
     if np.any(counts == 0):
         raise InvalidInputError("every truth cluster must be nonempty")
-    rows, cols = linear_sum_assignment(-overlap)
-    matched = overlap[rows, cols]
-    return matched / counts
+    return overlap[rows, cols] / counts
 
 
 def column_sum_check(matrix, sigma_sq: float) -> tuple[float, float]:
@@ -313,13 +317,8 @@ def margin_batch(rows, true_index: int, centers: CenterSet, model: MixtureModel)
     rivals, gap_sq, center_cross, sample_cross, degenerate = _margin_terms(
         rows, true_index, centers, model
     )
-    c = centers.centers
-    d = (
-        np.sum(rows * rows, axis=1)[:, None]
-        + np.sum(c * c, axis=1)[None, :]
-        - 2.0 * (rows @ c.T)
-    )
-    correct = int(np.count_nonzero(np.argmin(d, axis=1) == true_index))
+    nearest = np.argmin(sq_dists(rows, centers.centers), axis=1)
+    correct = int(np.count_nonzero(nearest == true_index))
     part1 = bool(np.all(center_cross < 0.25 * gap_sq))
     part2_each = np.all(sample_cross < 0.25 * gap_sq[None, :], axis=1)
     return MarginBatch(

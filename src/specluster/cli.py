@@ -24,9 +24,11 @@ from .models import (
     bsbm_to_mixture,
     load_dataset,
     mixture_from_spec,
+    read_json,
     sample,
     save_dataset,
     spec_value,
+    strict_int,
 )
 from .pipeline import cluster_detailed
 
@@ -66,31 +68,15 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _bsbm_from_inline(text: str) -> BsbmParams:
-    fields = _parse_kv(text)
-    missing = {"m", "n", "k", "p", "q"} - set(fields)
-    if missing:
-        raise InvalidInputError(f"--bsbm is missing {sorted(missing)}")
-    return bsbm_from_spec(fields, "--bsbm")
-
-
 def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read model file {path}: {exc}") from exc
+    obj = read_json(path, "model file")
     where = f"model file {path}"
-    if not isinstance(obj, dict):
-        raise InvalidInputError(f"{where} must hold a JSON object, got {type(obj).__name__}")
-    kind = obj.get("kind")
-    try:
-        if kind == "bsbm":
-            params = bsbm_from_spec(obj, where)
-            return bsbm_to_mixture(params), params.m, params
-        if kind == "mixture":
-            return mixture_from_spec(obj, where), spec_value(obj, "m", int, where), None
-    except KeyError as exc:
-        raise InvalidInputError(f"{where} is missing field {exc}") from exc
+    kind = spec_value(obj, "kind", str, where)
+    if kind == "bsbm":
+        params = bsbm_from_spec(obj, where)
+        return bsbm_to_mixture(params), params.m, params
+    if kind == "mixture":
+        return mixture_from_spec(obj, where), spec_value(obj, "m", strict_int, where), None
     raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
 
@@ -99,7 +85,7 @@ def cmd_generate(args) -> int:
     if (args.bsbm is None) == (args.model is None):
         raise InvalidInputError("generate needs exactly one of --bsbm or --model")
     if args.bsbm is not None:
-        params = _bsbm_from_inline(args.bsbm)
+        params = bsbm_from_spec(_parse_kv(args.bsbm), "--bsbm")
         model, m, bsbm = bsbm_to_mixture(params), params.m, params
     else:
         model, m, bsbm = _model_from_file(args.model)
@@ -117,8 +103,6 @@ def cmd_generate(args) -> int:
 def cmd_cluster(args) -> int:
     seed = _resolve_seed(args)
     dataset = load_dataset(args.data)
-    if dataset.m < 2 * args.k:
-        raise InvalidInputError(f"need m >= 2k, got m={dataset.m}, k={args.k}")
     detail = cluster_detailed(dataset.matrix, args.k, seed)
     labels = detail.labels.tolist()
     Path(args.out).write_text(json.dumps(labels) + "\n")

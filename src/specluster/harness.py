@@ -19,7 +19,6 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -40,24 +39,45 @@ from .models import (
     bsbm_to_mixture,
     expected_from_truth,
     mixture_from_spec,
+    read_json,
     sample,
     spec_value,
+    strict_int,
 )
 from .pipeline import cluster, find_centers_detailed
 
-DIAGNOSTICS = ("conditions", "center_error", "overlap", "margins")
 
-# Aggregate CSV columns contributed by each diagnostic, in stable order.
+def _mean(values) -> float:
+    return sum(values) / len(values)
+
+
+def _count(values) -> int:
+    return sum(1 for v in values if v)
+
+
+# Aggregate CSV columns of each diagnostic, in stable order, as
+# (column, per-trial diagnostics key, reducer over the cell's trials).
 _DIAG_COLUMNS = {
-    "conditions": ("mean_talagrand_ratio", "mean_noise_to_threshold"),
-    "center_error": ("center_error_hold_count", "mean_max_center_error"),
-    "overlap": ("overlap_hold_count", "mean_min_overlap"),
+    "conditions": (
+        ("mean_talagrand_ratio", "talagrand_ratio", _mean),
+        ("mean_noise_to_threshold", "noise_to_threshold", _mean),
+    ),
+    "center_error": (
+        ("center_error_hold_count", "center_error_holds", _count),
+        ("mean_max_center_error", "max_center_error", _mean),
+    ),
+    "overlap": (
+        ("overlap_hold_count", "overlap_holds", _count),
+        ("mean_min_overlap", "min_overlap", _mean),
+    ),
     "margins": (
-        "margin_correct_fraction",
-        "margin_part1_fraction",
-        "margin_part2_fraction",
+        ("margin_correct_fraction", "margin_correct_fraction", _mean),
+        ("margin_part1_fraction", "margin_part1_fraction", _mean),
+        ("margin_part2_fraction", "margin_part2_fraction", _mean),
     ),
 }
+
+DIAGNOSTICS = tuple(_DIAG_COLUMNS)
 
 _BASE_COLUMNS = ("trials", "exact_count", "mean_accuracy")
 
@@ -91,7 +111,9 @@ class SweepSpec:
                 raise InvalidInputError(f"axis {name!r} must be a nonempty list")
         if self.trials_per_cell < 1:
             raise InvalidInputError("trials_per_cell must be at least 1")
-        if not isinstance(self.diagnostics, (list, tuple)):
+        if not isinstance(self.diagnostics, (list, tuple)) or not all(
+            isinstance(name, str) for name in self.diagnostics
+        ):
             raise InvalidInputError(
                 f"diagnostics must be a list of names, got {self.diagnostics!r}"
             )
@@ -104,22 +126,19 @@ class SweepSpec:
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
-        try:
-            obj = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"cannot read sweep spec {path}: {exc}") from exc
-        try:
-            return cls(
-                family=obj["family"],
-                axes=dict(obj["axes"]),
-                fixed=dict(obj.get("fixed", {})),
-                trials_per_cell=int(obj["trials_per_cell"]),
-                base_seed=int(obj.get("base_seed", 0)),
-                diagnostics=obj.get("diagnostics", ()),
-                margin_draws=int(obj.get("margin_draws", 200)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"malformed sweep spec {path}: {exc}") from exc
+        where = f"sweep spec {path}"
+        obj = read_json(path, "sweep spec")
+        family = spec_value(obj, "family", str, where)  # also checks obj is an object
+        obj = {"fixed": {}, "base_seed": 0, "diagnostics": (), "margin_draws": 200, **obj}
+        return cls(
+            family=family,
+            axes=spec_value(obj, "axes", dict, where),
+            fixed=spec_value(obj, "fixed", dict, where),
+            trials_per_cell=spec_value(obj, "trials_per_cell", strict_int, where),
+            base_seed=spec_value(obj, "base_seed", strict_int, where),
+            diagnostics=obj["diagnostics"],
+            margin_draws=spec_value(obj, "margin_draws", strict_int, where),
+        )
 
     def cells(self) -> list[dict]:
         """Cell parameter dicts in deterministic grid order."""
@@ -152,14 +171,11 @@ def derive(base_seed, cell, trial):
 def build_cell(family: str, params: dict):
     """Validate one cell and return (model, m, k, bsbm-or-None)."""
     where = f"cell {params}"
-    try:
-        if family == "bsbm":
-            bsbm = bsbm_from_spec(params, where)
-            return bsbm_to_mixture(bsbm), bsbm.m, bsbm.k, bsbm
-        model = mixture_from_spec(params, where)
-        return model, spec_value(params, "m", int, where), model.k, None
-    except KeyError as exc:
-        raise InvalidInputError(f"{where} is missing parameter {exc}") from exc
+    if family == "bsbm":
+        bsbm = bsbm_from_spec(params, where)
+        return bsbm_to_mixture(bsbm), bsbm.m, bsbm.k, bsbm
+    model = mixture_from_spec(params, where)
+    return model, spec_value(params, "m", strict_int, where), model.k, None
 
 
 @dataclass(frozen=True)
@@ -260,32 +276,23 @@ def _run_diagnostics(spec, dataset: BinaryDataset, model, k, seed) -> dict:
     return out
 
 
+def _diag_columns(spec: SweepSpec) -> list[tuple]:
+    """The (column, key, reducer) entries of the spec's diagnostics, in CSV order."""
+    return [entry for d in DIAGNOSTICS if d in spec.diagnostics for entry in _DIAG_COLUMNS[d]]
+
+
 def _aggregate(spec: SweepSpec, params: dict, records: list[TrialRecord]) -> CellAggregate:
-    trials = len(records)
-    exact_count = sum(1 for r in records if r.exact)
-    mean_accuracy = sum(r.accuracy for r in records) / trials
-    diag: dict = {}
-    if "conditions" in spec.diagnostics:
-        diag["mean_talagrand_ratio"] = (
-            sum(r.diagnostics["talagrand_ratio"] for r in records) / trials
-        )
-        diag["mean_noise_to_threshold"] = (
-            sum(r.diagnostics["noise_to_threshold"] for r in records) / trials
-        )
-    if "center_error" in spec.diagnostics:
-        diag["center_error_hold_count"] = sum(
-            1 for r in records if r.diagnostics["center_error_holds"]
-        )
-        diag["mean_max_center_error"] = (
-            sum(r.diagnostics["max_center_error"] for r in records) / trials
-        )
-    if "overlap" in spec.diagnostics:
-        diag["overlap_hold_count"] = sum(1 for r in records if r.diagnostics["overlap_holds"])
-        diag["mean_min_overlap"] = sum(r.diagnostics["min_overlap"] for r in records) / trials
-    if "margins" in spec.diagnostics:
-        for key in ("margin_correct_fraction", "margin_part1_fraction", "margin_part2_fraction"):
-            diag[key] = sum(r.diagnostics[key] for r in records) / trials
-    return CellAggregate(params, trials, exact_count, mean_accuracy, diag)
+    diag = {
+        column: reduce([r.diagnostics[key] for r in records])
+        for column, key, reduce in _diag_columns(spec)
+    }
+    return CellAggregate(
+        params,
+        len(records),
+        _count([r.exact for r in records]),
+        _mean([r.accuracy for r in records]),
+        diag,
+    )
 
 
 def _usable_cpus() -> int:
@@ -382,11 +389,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 def csv_columns(spec: SweepSpec) -> list[str]:
     """Stable CSV header: sorted parameter names, then aggregate columns."""
     names = sorted(set(spec.fixed) | set(spec.axes))
-    columns = names + list(_BASE_COLUMNS)
-    for diag in DIAGNOSTICS:
-        if diag in spec.diagnostics:
-            columns.extend(_DIAG_COLUMNS[diag])
-    return columns
+    return names + list(_BASE_COLUMNS) + [column for column, _, _ in _diag_columns(spec)]
 
 
 def _csv_value(value) -> str:
@@ -399,24 +402,16 @@ def _csv_value(value) -> str:
 
 def write_csv(result: SweepResult, path) -> None:
     """One row per cell; column set and order given by :func:`csv_columns`."""
-    columns = csv_columns(result.spec)
     param_names = sorted(set(result.spec.fixed) | set(result.spec.axes))
+    diag_names = [column for column, _, _ in _diag_columns(result.spec)]
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
+        writer.writerow(csv_columns(result.spec))
         for cell in result.cells:
-            row = [_csv_value(cell.parameters[name]) for name in param_names]
-            row.extend(
-                [
-                    _csv_value(cell.trials),
-                    _csv_value(cell.exact_count),
-                    _csv_value(cell.mean_accuracy),
-                ]
-            )
-            for diag in DIAGNOSTICS:
-                if diag in result.spec.diagnostics:
-                    row.extend(_csv_value(cell.diagnostics[key]) for key in _DIAG_COLUMNS[diag])
-            writer.writerow(row)
+            values = [cell.parameters[name] for name in param_names]
+            values += [cell.trials, cell.exact_count, cell.mean_accuracy]
+            values += [cell.diagnostics[name] for name in diag_names]
+            writer.writerow([_csv_value(v) for v in values])
 
 
 def write_records_jsonl(result: SweepResult, path) -> None:

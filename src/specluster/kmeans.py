@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_matrix
+from .linalg import as_matrix, sq_dists
 
 DEFAULT_RESTARTS = 10
 DEFAULT_MAX_ITER = 300
@@ -40,12 +40,7 @@ class KMeansResult:
 
 
 def _pairwise_sq(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    d = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(c * c, axis=1)[None, :]
-        - 2.0 * (x @ c.T)
-    )
-    return np.maximum(d, 0.0)
+    return np.maximum(sq_dists(x, c), 0.0)
 
 
 def _sse(x: np.ndarray, labels: np.ndarray, c: np.ndarray) -> float:

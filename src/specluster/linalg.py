@@ -1,4 +1,5 @@
-"""Dense linear-algebra kernels: truncated SVD, norms, and center matching.
+"""Dense linear-algebra kernels: truncated SVD, norms, squared distances and
+center matching.
 
 The truncated SVD is self-contained by design: block power iteration
 (subspace iteration) with modified Gram-Schmidt re-orthonormalization for
@@ -40,6 +41,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if out.size and not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
+
+
+def sq_dists(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of ``a`` and of ``c``.
+
+    Expanded as ``|a|^2 + |c|^2 - 2 a.c``, so entries can fall slightly
+    below zero through rounding; callers that need a true distance clamp.
+    """
+    return np.sum(a * a, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :] - 2.0 * (a @ c.T)
 
 
 def frobenius_norm(a) -> float:
@@ -351,12 +361,7 @@ def match_center_sets(first, second) -> np.ndarray:
     b = _center_rows(second)
     if a.shape != b.shape:
         raise InvalidInputError(f"center sets differ in shape: {a.shape} vs {b.shape}")
-    cost = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(b * b, axis=1)[None, :]
-        - 2.0 * (a @ b.T)
-    )
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = linear_sum_assignment(sq_dists(a, b))
     perm = np.empty(a.shape[0], dtype=np.int64)
     perm[rows] = cols
     return perm

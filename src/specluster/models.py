@@ -8,6 +8,7 @@ seeded samplers with entry-level stream splitting, and the on-disk format
 from __future__ import annotations
 
 import json
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_matrix
+from .linalg import as_matrix, sq_dists
 
 _WEIGHT_SUM_TOL = 1e-12
 _COUNT_TOL = 1e-6
@@ -126,23 +127,22 @@ class BsbmParams:
     @classmethod
     def balanced(cls, m: int, n: int, k: int, p: float, q: float) -> "BsbmParams":
         """Near-equal left sizes and contiguous near-equal right blocks."""
-        left = tuple(m // k + (1 if r < m % k else 0) for r in range(k))
-        right = np.repeat(
-            np.arange(k), [n // k + (1 if r < n % k else 0) for r in range(k)]
-        )
-        return cls(m, n, k, p, q, left, right)
+        if n < k:
+            raise InvalidInputError("every right cluster must be nonempty")
+        right = np.repeat(np.arange(k), _block_sizes(n, k))
+        return cls(m, n, k, p, q, tuple(_block_sizes(m, k)), right)
+
+
+def _block_sizes(total: int, k: int) -> list[int]:
+    """k near-equal sizes summing to ``total``; the first ``total % k`` are one larger."""
+    return [total // k + (1 if r < total % k else 0) for r in range(k)]
 
 
 def separation(model: MixtureModel) -> float:
     """Minimum Euclidean distance between any two component means."""
     if model.k < 2:
         raise InvalidInputError("separation needs at least two components")
-    mu = model.means
-    d = (
-        np.sum(mu * mu, axis=1)[:, None]
-        + np.sum(mu * mu, axis=1)[None, :]
-        - 2.0 * (mu @ mu.T)
-    )
+    d = sq_dists(model.means, model.means)
     iu = np.triu_indices(model.k, 1)
     return float(np.sqrt(max(float(d[iu].min()), 0.0)))
 
@@ -196,7 +196,7 @@ def indicator_model(n: int, k: int, weights) -> MixtureModel:
     """
     if k < 1 or n < k:
         raise InvalidInputError("need n >= k >= 1 for indicator blocks")
-    assignment = np.repeat(np.arange(k), [n // k + (1 if r < n % k else 0) for r in range(k)])
+    assignment = np.repeat(np.arange(k), _block_sizes(n, k))
     means = np.zeros((k, n))
     for r in range(k):
         means[r, assignment == r] = 1.0
@@ -358,31 +358,63 @@ def _model_to_json(model: MixtureModel) -> dict:
     }
 
 
-def spec_value(spec: dict, key: str, convert, where: str):
-    """``convert(spec[key])``; a value it rejects raises InvalidInputError naming ``key``.
+def read_json(path, what: str):
+    """Parse the JSON file ``path``; an unreadable or malformed one raises InvalidInputError."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"cannot read {what} {path}: {exc}") from exc
 
-    A missing key raises ``KeyError``, left for the caller to report.
+
+def _json_object(spec, where: str) -> dict:
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"{where} must hold a JSON object, got {type(spec).__name__}")
+    return spec
+
+
+def spec_value(spec: dict, key: str, convert, where: str):
+    """``convert(spec[key])`` for a JSON-object spec, else InvalidInputError.
+
+    A spec that is not an object, a missing key (``<where>: missing '<key>'``)
+    and a value ``convert`` rejects all raise InvalidInputError naming ``where``.
     """
+    if key not in _json_object(spec, where):
+        raise InvalidInputError(f"{where}: missing {key!r}")
     try:
         return convert(spec[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"{where}: bad value for {key!r}: {exc}") from exc
 
 
+def strict_int(value) -> int:
+    """An int, an integral float or a decimal string as int; anything else, bool
+    included, raises TypeError or ValueError (``int()`` would truncate 2.7 to 2)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+        return int(value)
+    if isinstance(value, str):
+        return int(value)
+    return operator.index(value)
+
+
 _float_array = partial(np.asarray, dtype=np.float64)
-_int_array = partial(np.asarray, dtype=np.int64)
 
 
-def _int_tuple(value) -> tuple[int, ...]:
-    return tuple(int(v) for v in value)
+def _int_array(value) -> np.ndarray:
+    return np.asarray([strict_int(v) for v in value], dtype=np.int64)
 
 
 def mixture_from_spec(spec: dict, where: str) -> MixtureModel:
     """Mixture from a JSON spec's ``means``, ``weights`` and optional ``sigma_sq``."""
-    sigma_sq = spec.get("sigma_sq")
+    means = spec_value(spec, "means", _float_array, where)
+    weights = spec_value(spec, "weights", _float_array, where)
+    sigma_sq = spec.get("sigma_sq")  # spec is an object: spec_value checked it
     return MixtureModel(
-        spec_value(spec, "means", _float_array, where),
-        spec_value(spec, "weights", _float_array, where),
+        means,
+        weights,
         sigma_sq=None if sigma_sq is None else spec_value(spec, "sigma_sq", float, where),
     )
 
@@ -405,7 +437,7 @@ def bsbm_from_spec(spec: dict, where: str) -> BsbmParams:
     With ``left_sizes`` or ``right_assignment`` present both are read;
     otherwise the clusters are balanced (:meth:`BsbmParams.balanced`).
     """
-    m, n, k = (spec_value(spec, key, int, where) for key in ("m", "n", "k"))
+    m, n, k = (spec_value(spec, key, strict_int, where) for key in ("m", "n", "k"))
     p, q = (spec_value(spec, key, float, where) for key in ("p", "q"))
     if "left_sizes" not in spec and "right_assignment" not in spec:
         return BsbmParams.balanced(m, n, k, p, q)
@@ -415,7 +447,7 @@ def bsbm_from_spec(spec: dict, where: str) -> BsbmParams:
         k=k,
         p=p,
         q=q,
-        left_sizes=spec_value(spec, "left_sizes", _int_tuple, where),
+        left_sizes=spec_value(spec, "left_sizes", _int_array, where),
         right_assignment=spec_value(spec, "right_assignment", _int_array, where),
     )
 
@@ -460,17 +492,13 @@ def load_dataset(prefix) -> BinaryDataset:
     matrix = read_matrix_market(mtx_path)
     truth = model = bsbm = seed = None
     if json_path.exists():
-        try:
-            sidecar = json.loads(json_path.read_text())
-            if not isinstance(sidecar, dict):
-                raise TypeError("sidecar root must be an object")
-            seed = sidecar.get("seed")
-            if sidecar.get("truth") is not None:
-                truth = np.asarray(sidecar["truth"], dtype=np.int64)
-            if sidecar.get("model") is not None:
-                model = mixture_from_spec(sidecar["model"], f"sidecar {json_path} model")
-            if sidecar.get("bsbm") is not None:
-                bsbm = bsbm_from_spec(sidecar["bsbm"], f"sidecar {json_path} bsbm")
-        except (json.JSONDecodeError, TypeError, KeyError, ValueError) as exc:
-            raise InvalidInputError(f"malformed sidecar {json_path}: {exc}") from exc
+        where = f"sidecar {json_path}"
+        sidecar = _json_object(read_json(json_path, "sidecar"), where)
+        seed = sidecar.get("seed")
+        if sidecar.get("truth") is not None:
+            truth = spec_value(sidecar, "truth", _int_array, where)
+        if sidecar.get("model") is not None:
+            model = mixture_from_spec(sidecar["model"], f"{where} model")
+        if sidecar.get("bsbm") is not None:
+            bsbm = bsbm_from_spec(sidecar["bsbm"], f"{where} bsbm")
     return BinaryDataset(matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed)

@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError
 from .kmeans import DEFAULT_RESTARTS, KMeansResult, kmeans
-from .linalg import RankKApprox, as_matrix, match_center_sets, truncated_svd
+from .linalg import RankKApprox, as_matrix, match_center_sets, sq_dists, truncated_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,12 +117,7 @@ def assign(matrix, centers) -> np.ndarray:
         raise InvalidInputError(
             f"dimension mismatch: rows have {a.shape[1]} columns, centers {c.shape[1]}"
         )
-    d = (
-        np.sum(a * a, axis=1)[:, None]
-        + np.sum(c * c, axis=1)[None, :]
-        - 2.0 * (a @ c.T)
-    )
-    return np.argmin(d, axis=1).astype(np.int64)
+    return np.argmin(sq_dists(a, c), axis=1).astype(np.int64)
 
 
 def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
@@ -147,13 +142,7 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
     labels[second] = labels_second
     labels[first] = inverse[labels_first_raw]
 
-    c1 = d1.center_set.centers
-    c2 = d2.center_set.centers
-    dists = (
-        np.sum(c1 * c1, axis=1)[:, None]
-        + np.sum(c2 * c2, axis=1)[None, :]
-        - 2.0 * (c1 @ c2.T)
-    )
+    dists = sq_dists(d1.center_set.centers, d2.center_set.centers)
     matched = dists[np.arange(k), matching]
     ambiguous = bool(np.any(matched > dists.min(axis=1) + 1e-12))
 

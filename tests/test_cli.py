@@ -60,12 +60,20 @@ class TestGenerate:
         proc = run_cli("generate", "--model", str(model_file), "--out", str(tmp_path / "d"))
         assert proc.returncode == 0, proc.stderr
 
-    def test_invalid_model_exits_2(self, tmp_path):
+    def test_invalid_model_exits_2(self, tmp_path, capsys):
+        from specluster.cli import main
+
         proc = run_cli(
             "generate", "--bsbm", "m=10,n=8,k=2,p=0.7,q=0.1", "--out", str(tmp_path / "x")
         )
         assert proc.returncode == 2
         assert "error" in proc.stderr.lower()
+        for inline, message in [
+            ("m=10,n=8,k=2,p=0.4", "--bsbm: missing 'q'"),
+            ("m=10.5,n=8,k=2,p=0.4,q=0.1", "--bsbm: bad value for 'm'"),
+        ]:
+            assert main(["generate", "--bsbm", inline, "--out", str(tmp_path / "y")]) == 2
+            assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "model, field",
@@ -75,6 +83,22 @@ class TestGenerate:
             ({"kind": "mixture", "means": [[0.5, 0.5], [0.5]], "weights": [0.5, 0.5], "m": 8}, "'means'"),
             ({"kind": "mixture", "means": [[0.5]], "weights": [1.0], "sigma_sq": "x", "m": 8}, "'sigma_sq'"),
             ({"kind": "mixture", "means": [[0.5]], "weights": [1.0], "m": "x"}, "'m'"),
+            ({"kind": "bsbm", "m": 20.9, "n": 10, "k": 2.7, "p": 0.4, "q": 0.1}, "'m'"),
+            ({"kind": "bsbm", "m": 20, "n": 10, "k": 2.7, "p": 0.4, "q": 0.1}, "'k'"),
+            ({"kind": "bsbm", "m": 20, "n": True, "k": 2, "p": 0.4, "q": 0.1}, "'n'"),
+            ({"kind": "mixture", "means": [[0.5]], "weights": [1.0], "m": 8.5}, "'m'"),
+            (
+                {"kind": "bsbm", "m": 3, "n": 2, "k": 2, "p": 0.4, "q": 0.1,
+                 "left_sizes": [1.5, 1.5], "right_assignment": [0, 1]},
+                "'left_sizes'",
+            ),
+            (
+                {"kind": "bsbm", "m": 3, "n": 2, "k": 2, "p": 0.4, "q": 0.1,
+                 "left_sizes": [2, 1], "right_assignment": [0, 1.5]},
+                "'right_assignment'",
+            ),
+            ({"kind": "bsbm", "m": 20, "n": 10, "k": 2, "p": 0.4}, ": missing 'q'"),
+            ({"kind": "bsbm", "m": 20, "n": -1, "k": 2, "p": 0.4, "q": 0.1}, "nonempty"),
         ],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, model, field):
@@ -208,11 +232,24 @@ class TestCheck:
         sigma_sq = 2 * 0.4 * 0.6
         assert report["bsbm_lhs"] == pytest.approx((0.4 - 0.1) ** 2 / sigma_sq)
 
-    def test_malformed_sidecar_exits_2(self, tmp_path):
+    def test_malformed_sidecar_exits_2(self, tmp_path, capsys):
+        from specluster.cli import main
+
         prefix = generate_noiseless(tmp_path)
+        sidecar = json.loads((tmp_path / "noiseless.json").read_text())
         (tmp_path / "noiseless.json").write_text("{broken")
         proc = run_cli("check", "--data", str(prefix))
         assert proc.returncode == 2
+        bsbm = {"m": 16, "n": 6, "k": 2, "p": 0.4}
+        for update, message in [
+            ({"model": [1, 2]}, "model must hold a JSON object, got list"),
+            ({"bsbm": bsbm}, "bsbm: missing 'q'"),
+            ({"truth": [0.5] * 16}, "bad value for 'truth'"),
+        ]:
+            (tmp_path / "noiseless.json").write_text(json.dumps({**sidecar, **update}))
+            for command in (["check"], ["cluster", "--k", "2", "--out", str(tmp_path / "l")]):
+                assert main([*command, "--data", str(prefix)]) == 2
+                assert message in capsys.readouterr().err
 
     def test_missing_sidecar_exits_2(self, tmp_path):
         prefix = generate_noiseless(tmp_path)
@@ -287,19 +324,30 @@ class TestSweep:
         from specluster.cli import main
 
         path = tmp_path / "spec.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "family": "bsbm",
-                    "axes": {"p": [0.45]},
-                    "fixed": {"m": "x", "n": 12, "k": 2, "q": 0.05},
-                    "trials_per_cell": 1,
-                }
-            )
-        )
+        spec = {
+            "family": "bsbm",
+            "axes": {"p": [0.45]},
+            "fixed": {"m": "x", "n": 12, "k": 2, "q": 0.05},
+            "trials_per_cell": 1,
+        }
+        path.write_text(json.dumps(spec))
         assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
         assert "bad value for 'm'" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+        fixed = {"m": 16, "n": 12, "k": 2, "q": 0.05}
+        for update, message in [
+            ({"fixed": {**fixed, "m": 20.9, "k": 2.7}}, "bad value for 'm'"),
+            ({"fixed": {**fixed, "k": 2.7}}, "bad value for 'k'"),
+            ({"fixed": {"m": 16, "n": 12, "k": 2}}, ": missing 'q'"),
+            ({"trials_per_cell": 1.5}, "bad value for 'trials_per_cell'"),
+            ({"base_seed": True}, "bad value for 'base_seed'"),
+            ({"margin_draws": 2.5}, "bad value for 'margin_draws'"),
+        ]:
+            path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
+            assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_2(self, tmp_path, workers):

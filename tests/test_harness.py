@@ -281,7 +281,7 @@ class TestRunSweep:
         monkeypatch.setattr(harness, "cluster", checked_cluster)
         run_sweep(noiseless_spec(trials=2), workers=2)
 
-    def test_aggregates_recomputable_from_records(self):
+    def test_aggregates_recomputable_from_records(self, tmp_path):
         spec = noiseless_spec(trials=4)
         result = run_sweep(spec)
         (cell,) = result.cells
@@ -290,6 +290,65 @@ class TestRunSweep:
         assert cell.mean_accuracy == pytest.approx(
             sum(r.accuracy for r in records) / len(records)
         )
+
+        # Every aggregate column is its reducer over the cell's records in
+        # record order, bit for bit, and the CSV holds repr of that value.
+        spec = SweepSpec(
+            family="bsbm",
+            axes={"p": [0.3, 0.45]},
+            fixed={"m": 40, "n": 30, "k": 2, "q": 0.05},
+            trials_per_cell=3,
+            base_seed=0,
+            diagnostics=DIAGNOSTICS,
+            margin_draws=50,
+        )
+        result = run_sweep(spec, workers=1)
+        path = tmp_path / "out.csv"
+        write_csv(result, path)
+        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+        assert header == csv_columns(spec)
+        assert len(rows) == len(result.cells) == 2
+        for ci, (cell, row) in enumerate(zip(result.cells, rows)):
+            records = result.records[3 * ci : 3 * ci + 3]
+            assert all(r.parameters == cell.parameters for r in records)
+
+            def mean(values):
+                return sum(values) / 3
+
+            def count(key):
+                return sum(1 for r in records if r.diagnostics[key])
+
+            def diag_mean(key):
+                return mean([r.diagnostics[key] for r in records])
+
+            expected = {
+                "trials": 3,
+                "exact_count": sum(1 for r in records if r.exact),
+                "mean_accuracy": mean([r.accuracy for r in records]),
+                "mean_talagrand_ratio": diag_mean("talagrand_ratio"),
+                "mean_noise_to_threshold": diag_mean("noise_to_threshold"),
+                "center_error_hold_count": count("center_error_holds"),
+                "mean_max_center_error": diag_mean("max_center_error"),
+                "overlap_hold_count": count("overlap_holds"),
+                "mean_min_overlap": diag_mean("min_overlap"),
+                "margin_correct_fraction": diag_mean("margin_correct_fraction"),
+                "margin_part1_fraction": diag_mean("margin_part1_fraction"),
+                "margin_part2_fraction": diag_mean("margin_part2_fraction"),
+            }
+            aggregates = {
+                "trials": cell.trials,
+                "exact_count": cell.exact_count,
+                "mean_accuracy": cell.mean_accuracy,
+                **cell.diagnostics,
+            }
+            assert aggregates == expected
+            for column, value in expected.items():
+                assert type(aggregates[column]) is type(value), column
+            params = sorted(cell.parameters)
+            assert header == params + list(expected)
+            assert row == [repr(cell.parameters[name]) for name in params] + [
+                repr(value) for value in expected.values()
+            ]
 
     def test_diagnostics_recorded(self):
         spec = SweepSpec(
