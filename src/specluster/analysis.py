@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, match_center_sets, spectral_norm, sq_dists
+from .linalg import as_matrix, linear_sum_assignment, match_center_sets, spectral_norm, sq_dists
 from .models import BinaryDataset, MixtureModel, delta_v, expected_from_truth, separation
 from .pipeline import CenterSet
 

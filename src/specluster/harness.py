@@ -32,7 +32,7 @@ from .analysis import (
     score,
 )
 from .errors import InvalidInputError
-from .linalg import spectral_norm
+from .linalg import import_scipy, spectral_norm
 from .models import (
     BinaryDataset,
     bsbm_from_spec,
@@ -346,8 +346,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     ``workers`` processes (default: the CPUs this process may use, capped at
     the number of trials).  Workers are forked rather than spawned, so they
     do not pay the package import again; with one worker, or where ``fork``
-    is unavailable, trials run inline.  Records are collected in grid order,
-    so the result is the same for every worker count.  When trials raise,
+    is unavailable, trials run inline.  The package imports scipy on first
+    use, so the pool branch imports it before forking.  Otherwise every
+    worker would import scipy again, and the OpenBLAS that scipy bundles
+    would load after the worker limited the loaded ones to one thread.
+    Records are collected in grid order, so the result is the same for
+    every worker count.  When trials raise,
     the queued ones are cancelled and the error of the first failing trial
     in grid order is re-raised, as the inline run would raise it.
 
@@ -366,6 +370,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     tasks = [(params, t) for params in cells for t in range(spec.trials_per_cell)]
     workers = min(workers or _usable_cpus(), len(tasks))
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        import_scipy()
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
         )

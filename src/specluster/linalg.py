@@ -11,6 +11,10 @@ on a two-row and a two-column view, bit-identical to the textbook loop in
 ``tests/oracles.py``.  The spectral norm decides no label, so it runs on
 compiled kernels instead: LAPACK for small inputs and ARPACK for the top
 singular value of large ones.
+
+This is the only module that uses scipy, and it imports scipy on first use,
+so importing the package does not pay for it: ``spectral_norm`` loads
+``scipy.sparse.linalg`` and the assignment solver loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.sparse.linalg import ArpackError, svds
 
 from . import rng
 from .errors import ConvergenceError, InvalidInputError
@@ -316,6 +318,30 @@ def truncated_svd(
     raise InvalidInputError(f"unknown SVD method {method!r}")
 
 
+def import_scipy() -> None:
+    """Import every scipy module this package uses.
+
+    For a caller about to fork workers that will need them: each worker
+    then inherits the modules instead of importing them on its own.
+    """
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
+
+
+def svds(a, **kwargs):
+    """``scipy.sparse.linalg.svds``, imported on first call."""
+    from scipy.sparse.linalg import svds as scipy_svds
+
+    return scipy_svds(a, **kwargs)
+
+
+def linear_sum_assignment(cost):
+    """``scipy.optimize.linear_sum_assignment``, imported on first call."""
+    from scipy.optimize import linear_sum_assignment as scipy_lsa
+
+    return scipy_lsa(cost)
+
+
 def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
     """Largest singular value of ``a``, accurate to machine precision.
 
@@ -338,6 +364,8 @@ def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
         return 0.0
     v0_key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
     v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
+    from scipy.sparse.linalg import ArpackError
+
     try:
         top = svds(a, k=1, tol=0, v0=v0, maxiter=max_iter, return_singular_vectors=False)
     except ArpackError as exc:

@@ -7,7 +7,9 @@ seeded samplers with entry-level stream splitting, and the on-disk format
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import operator
 import warnings
 from dataclasses import dataclass
@@ -55,6 +57,8 @@ class MixtureModel:
             raise InvalidInputError("mean entries must lie in [0, 1]")
         if weights.shape != (means.shape[0],):
             raise InvalidInputError("weights must have one entry per component")
+        if not np.all(np.isfinite(weights)):
+            raise InvalidInputError("weights must be finite")
         if np.any(weights <= 0.0):
             raise InvalidInputError("weights must be positive")
         if abs(float(weights.sum()) - 1.0) > _WEIGHT_SUM_TOL:
@@ -63,6 +67,8 @@ class MixtureModel:
         if sigma_sq is None:
             sigma_sq = float(means.max()) if means.size else 0.0
         sigma_sq = float(sigma_sq)
+        if not math.isfinite(sigma_sq):
+            raise InvalidInputError("sigma_sq must be finite")
         if means.size and float(means.max()) > sigma_sq + 1e-12:
             raise InvalidInputError("sigma_sq must dominate every mean entry")
         object.__setattr__(self, "means", means)
@@ -312,30 +318,58 @@ def write_matrix_market(path, matrix: np.ndarray) -> None:
     Path(path).write_bytes(header.encode() + lines.tobytes())
 
 
+def _digit_lines(data: bytes, start: int, count: int) -> np.ndarray | None:
+    """The (count, 1) entries of ``data[start:]`` if it is exactly ``count``
+    lines of one ASCII digit and a newline each, else None."""
+    if count == 0 or len(data) - start != 2 * count:
+        return None
+    lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(count, 2)
+    digits = lines[:, 0] - np.uint8(ord("0"))  # bytes below "0" wrap to above 9
+    if not (np.all(lines[:, 1] == ord("\n")) and np.all(digits <= 9)):
+        return None
+    return digits.astype(np.float64).reshape(count, 1)
+
+
 def read_matrix_market(path) -> np.ndarray:
     """Read a dense Matrix Market array file (integer or real field).
 
     After the header, blank lines and ``%`` comments are skipped; the first
     line left holds the sizes ``m n`` and each later one a single entry, in
     column-major order.  A malformed file raises :class:`InvalidInputError`.
+
+    The file is read once.  A body of exactly ``m*n`` lines, each one ASCII
+    digit and a newline (the layout :func:`write_matrix_market` writes), is
+    decoded in one numpy pass once every byte is checked.  Any other body,
+    with comments, blank lines, CRLF, signs, or multi-digit or real entries,
+    goes to ``np.loadtxt``, which reads digit lines as the same values.
     """
+    data = Path(path).read_bytes()
     # latin-1 decodes any byte, so a binary file fails the checks below.
-    with open(path, encoding="latin-1") as fh:
-        header = fh.readline()
-        if not header.startswith("%%MatrixMarket"):
-            raise InvalidInputError(f"{path}: missing MatrixMarket header")
-        tokens = header.lower().split()
-        if len(tokens) < 4 or tokens[1] != "matrix" or tokens[2] != "array":
-            raise InvalidInputError(f"{path}: expected a dense 'matrix array' file")
+    fh = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
+    header = fh.readline()
+    if not header.startswith("%%MatrixMarket"):
+        raise InvalidInputError(f"{path}: missing MatrixMarket header")
+    tokens = header.lower().split()
+    if len(tokens) < 4 or tokens[1] != "matrix" or tokens[2] != "array":
+        raise InvalidInputError(f"{path}: expected a dense 'matrix array' file")
+    consumed = len(header)
+    line = fh.readline()
+    consumed += len(line)
+    while line and (not line.strip() or line.lstrip().startswith("%")):
         line = fh.readline()
-        while line and (not line.strip() or line.lstrip().startswith("%")):
-            line = fh.readline()
-        sizes = line.split()
-        if len(sizes) != 2 or not all(tok.isdecimal() for tok in sizes):
-            raise InvalidInputError(
-                f"{path}: size line must be two nonnegative integers 'm n', got {line.strip()!r}"
-            )
-        m, n = int(sizes[0]), int(sizes[1])
+        consumed += len(line)
+    sizes = line.split()
+    if len(sizes) != 2 or not all(tok.isdecimal() for tok in sizes):
+        raise InvalidInputError(
+            f"{path}: size line must be two nonnegative integers 'm n', got {line.strip()!r}"
+        )
+    m, n = int(sizes[0]), int(sizes[1])
+    values = None
+    # Text mode turns "\r" and "\r\n" into "\n"; without them in the lines
+    # read so far, ``consumed`` characters are as many bytes.
+    if data.find(b"\r", 0, consumed) < 0:
+        values = _digit_lines(data, consumed, m * n)
+    if values is None:
         try:
             with warnings.catch_warnings():
                 # An empty body is reported by the entry count below.

@@ -1,8 +1,10 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +73,8 @@ class TestGenerate:
         for inline, message in [
             ("m=10,n=8,k=2,p=0.4", "--bsbm: missing 'q'"),
             ("m=10.5,n=8,k=2,p=0.4,q=0.1", "--bsbm: bad value for 'm'"),
+            ("m=10,n=8,k=2,p=nan,q=0.1", "p and q must lie in [0, 0.5]"),
+            ("m=10,n=8,k=2,p=0.4,q=inf", "p and q must lie in [0, 0.5]"),
         ]:
             assert main(["generate", "--bsbm", inline, "--out", str(tmp_path / "y")]) == 2
             assert message in capsys.readouterr().err
@@ -99,6 +103,21 @@ class TestGenerate:
             ),
             ({"kind": "bsbm", "m": 20, "n": 10, "k": 2, "p": 0.4}, ": missing 'q'"),
             ({"kind": "bsbm", "m": 20, "n": -1, "k": 2, "p": 0.4, "q": 0.1}, "nonempty"),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                 "sigma_sq": math.nan, "m": 4},
+                "sigma_sq must be finite",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                 "sigma_sq": math.inf, "m": 4},
+                "sigma_sq must be finite",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [math.nan, math.nan],
+                 "m": 4},
+                "weights must be finite",
+            ),
         ],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, model, field):
@@ -106,8 +125,12 @@ class TestGenerate:
 
         model_file = tmp_path / "model.json"
         model_file.write_text(json.dumps(model))
-        assert main(["generate", "--model", str(model_file), "--out", str(tmp_path / "d")]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["generate", "--model", str(model_file), "--out", str(tmp_path / "d")])
+        assert code == 2
         assert field in capsys.readouterr().err
+        assert not (tmp_path / "d.json").exists()
 
     def test_seed_precedence(self, tmp_path):
         flag = tmp_path / "flag"
@@ -283,6 +306,32 @@ class TestCheck:
         assert "convergence failure" in capsys.readouterr().err
 
 
+def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):
+    # A fresh interpreter: in this one other tests have loaded scipy.
+    script = textwrap.dedent(
+        """
+        import sys
+        from specluster.cli import main
+
+        def loaded():
+            return {"scipy.optimize", "scipy.sparse.linalg"} & set(sys.modules)
+
+        assert not loaded(), loaded()
+        out = sys.argv[1]
+        assert main(["generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", out]) == 0
+        assert main(["check", "--data", out]) == 0
+        assert loaded() == {"scipy.sparse.linalg"}, loaded()
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "d")],
+        capture_output=True,
+        text=True,
+        env=cli_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSweep:
     def spec_file(self, tmp_path, trials=1):
         path = tmp_path / "spec.json"
@@ -336,6 +385,11 @@ class TestSweep:
         assert not (tmp_path / "x.csv").exists()
 
         fixed = {"m": 16, "n": 12, "k": 2, "q": 0.05}
+
+        def general(**fields):
+            mixture = {"m": 8, "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5]}
+            return {"family": "general", "fixed": {**mixture, **fields}}
+
         for update, message in [
             ({"fixed": {**fixed, "m": 20.9, "k": 2.7}}, "bad value for 'm'"),
             ({"fixed": {**fixed, "k": 2.7}}, "bad value for 'k'"),
@@ -343,6 +397,9 @@ class TestSweep:
             ({"trials_per_cell": 1.5}, "bad value for 'trials_per_cell'"),
             ({"base_seed": True}, "bad value for 'base_seed'"),
             ({"margin_draws": 2.5}, "bad value for 'margin_draws'"),
+            (general(sigma_sq=math.nan), "sigma_sq must be finite"),
+            (general(sigma_sq=math.inf), "sigma_sq must be finite"),
+            (general(weights=[math.nan, math.nan]), "weights must be finite"),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
             assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2

@@ -8,6 +8,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -128,6 +129,46 @@ def test_read_matrix_market(tmp_path, header, size, body, raw):
     path = tmp_path / "a.mtx"
     path.write_bytes(raw if raw is not None else "\n".join([header, size, *body]).encode())
     expect_return_or_invalid(read_matrix_market, path)
+
+
+@st.composite
+def one_byte_off_bodies(draw):
+    """A 0/1 matrix and one (index, byte) change to the body the writer makes
+    of it: ``m*n`` lines of one digit and a newline, column-major."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    bits = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=m * n, max_size=m * n))
+    index = draw(st.integers(0, 2 * m * n - 1))
+    byte = draw(st.integers(0, 255) | st.sampled_from(b"0189/: \t\r\n%x\xb0"))
+    return np.array(bits).reshape(m, n), index, byte
+
+
+@FUZZ
+@given(case=one_byte_off_bodies())
+def test_read_matrix_market_one_byte_off(tmp_path, case):
+    """A digit changed to a digit is read as the new digit and a newline
+    changed to a carriage return still ends the line; any other change is
+    rejected, except at the last newline, where a byte such as a space or a
+    digit can still leave a valid last entry."""
+    matrix, index, byte = case
+    path = tmp_path / "d.mtx"
+    write_matrix_market(path, matrix)
+    data = bytearray(path.read_bytes())
+    data[len(data) - 2 * matrix.size + index] = byte
+    path.write_bytes(bytes(data))
+    entry, on_newline = divmod(index, 2)
+    expected = matrix.T.copy()  # column-major entry order
+    if on_newline and byte in b"\r\n":
+        pass
+    elif not on_newline and ord("0") <= byte <= ord("9"):
+        expected.flat[entry] = byte - ord("0")
+    elif index == 2 * matrix.size - 1:
+        expect_return_or_invalid(read_matrix_market, path)
+        return
+    else:
+        with pytest.raises(InvalidInputError):
+            read_matrix_market(path)
+        return
+    assert np.array_equal(read_matrix_market(path), expected.T)
 
 
 @FUZZ

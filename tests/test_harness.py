@@ -1,10 +1,14 @@
 import ctypes
 import json
 import os
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
+from conftest import cli_env
 
 from specluster import (
     ConvergenceError,
@@ -19,13 +23,17 @@ from specluster.harness import DIAGNOSTICS, csv_columns, write_csv, write_record
 from specluster.rng import TAG_TRIAL, mix64
 
 
-def openblas_thread_counts() -> list[int]:
-    """Thread count of every OpenBLAS loaded in this process."""
+def openblas_paths() -> set[str]:
+    """Files of every OpenBLAS loaded in this process."""
     with open("/proc/self/maps") as maps:
         fields = (line.split(maxsplit=5) for line in maps)
-        paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+        return {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+
+
+def openblas_thread_counts() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process."""
     counts = []
-    for path in sorted(paths):
+    for path in sorted(openblas_paths()):
         lib = ctypes.CDLL(path)
         for prefix in ("", "scipy_"):
             for suffix in ("", "64_"):
@@ -280,6 +288,50 @@ class TestRunSweep:
 
         monkeypatch.setattr(harness, "cluster", checked_cluster)
         run_sweep(noiseless_spec(trials=2), workers=2)
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_fresh_process_pool_workers_share_scipy_blas_on_one_thread(self):
+        # In this process scipy is loaded already; a child that has not
+        # imported it shows whether the pool imports scipy before it forks.
+        import scipy.optimize  # noqa: F401
+        import scipy.sparse.linalg  # noqa: F401
+
+        libraries = openblas_paths()
+        if len(libraries) < 2:
+            pytest.skip("numpy and scipy do not bundle separate OpenBLAS builds here")
+        script = textwrap.dedent(
+            """
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from specluster import harness, run_sweep
+            import test_harness
+
+            assert not any(name.startswith("scipy") for name in sys.modules)
+            libraries = set(sys.argv[2:])
+            real_cluster = harness.cluster
+
+            def checked_cluster(matrix, k, seed):
+                mapped = test_harness.openblas_paths()
+                assert libraries <= mapped, f"worker maps {mapped}, not all of {libraries}"
+                counts = test_harness.openblas_thread_counts()
+                assert set(counts) == {1}, f"worker OpenBLAS threads: {counts}"
+                return real_cluster(matrix, k, seed)
+
+            harness.cluster = checked_cluster
+            run_sweep(test_harness.noiseless_spec(trials=2), workers=2)
+            """
+        )
+        env = cli_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, os.path.dirname(__file__), *sorted(libraries)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_aggregates_recomputable_from_records(self, tmp_path):
         spec = noiseless_spec(trials=4)

@@ -41,6 +41,12 @@ class TestMixtureModel:
             MixtureModel(np.array([[0.5, 0.5]]), np.array([0.7]))  # weights != 1
         with pytest.raises(InvalidInputError):
             MixtureModel(np.array([[0.5]]), np.array([1.0]), sigma_sq=0.3)
+        for sigma_sq in (np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="sigma_sq must be finite"):
+                MixtureModel(np.eye(2), np.array([0.5, 0.5]), sigma_sq=sigma_sq)
+        for weights in ([np.nan, np.nan], [np.inf, 0.5]):
+            with pytest.raises(InvalidInputError, match="weights must be finite"):
+                MixtureModel(np.eye(2), np.array(weights))
 
     def test_separation_examples(self):
         model = MixtureModel(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.5, 0.5]))
@@ -294,12 +300,20 @@ class TestMatrixMarketGrammar:
             MTX_HEADER + "2 2\n1\n0\n1\n",
             MTX_HEADER + "1 1\n1\n0\n",
             MTX_HEADER + "1 1\n\xff\n",
+            MTX_HEADER + "2 1\n1\nx\n",
+            MTX_HEADER + "2 1\n1\n/\n",
+            MTX_HEADER + "2 1\n1\n:\n",
+            MTX_HEADER + "2 1\n1\n \n",
         ],
         ids=[
             "empty-file", "coordinate", "no-size-line", "negative-rows",
             "negative-cols", "fractional-size", "non-integer-size", "one-size-token",
             "three-size-tokens", "unparsable-entry", "two-entries-on-a-line",
             "too-few-entries", "too-many-entries", "non-ascii-entry",
+            # Bodies of the writer's length with one byte that is no digit;
+            # "/" and ":" sit just below "0" and just above "9".
+            "letter-in-digit-body", "slash-in-digit-body", "colon-in-digit-body",
+            "space-in-digit-body",
         ],
     )
     def test_malformed_rejected(self, tmp_path, content):
@@ -307,6 +321,43 @@ class TestMatrixMarketGrammar:
         path.write_text(content, encoding="latin-1")
         with pytest.raises(InvalidInputError, match="bad.mtx"):
             read_matrix_market(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            MTX_HEADER + "2 3\n1\n0\n0\n1\n0\n1\n",
+            MTX_HEADER + "2 2\n9\n0\n3\n7\n",
+            MTX_HEADER + "% a comment\n2 2\n1\n0\n0\n1\n",
+            MTX_HEADER + "2 2\n1\n\n0\n0\n1\n",
+            (MTX_HEADER + "2 2\n1\n0\n0\n1\n").replace("\n", "\r\n"),
+            MTX_HEADER + "2 2\n1\r\n0\r\n0\r\n1\r\n",
+            MTX_HEADER + "2 2\n1\n-0\n0\n-1\n",
+            MTX_HEADER + "2 2\n10\n00\n01\n1\n",
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\n0.5\n1e0\n0\n",
+            MTX_HEADER + "2 2\n 1\n0 \n0\n1\n",
+            MTX_HEADER + "2 2\n1\n0\n0\n1",
+        ],
+        ids=[
+            "writer-layout", "other-digits", "header-comment", "blank-line", "crlf",
+            "crlf-body", "signs", "multi-digit", "real", "padded", "no-final-newline",
+        ],
+    )
+    def test_reads_as_scipy_does(self, tmp_path, content):
+        path = tmp_path / "v.mtx"
+        path.write_bytes(content.encode())
+        matrix = read_matrix_market(path)
+        assert matrix.dtype == np.float64 and matrix.flags.c_contiguous
+        assert np.array_equal(matrix, np.asarray(scipy.io.mmread(path), dtype=np.float64))
+
+    def test_writer_output_reads_as_scipy_does(self, tmp_path):
+        path = tmp_path / "w.mtx"
+        matrix = (np.random.default_rng(3).random((37, 23)) < 0.4).astype(np.float64)
+        write_matrix_market(path, matrix)
+        assert np.array_equal(read_matrix_market(path), matrix)
+        assert np.array_equal(np.asarray(scipy.io.mmread(path), dtype=np.float64), matrix)
+        # A trailing comment sends the same entries to the line-by-line parser.
+        path.write_bytes(path.read_bytes() + b"% end\n")
+        assert np.array_equal(read_matrix_market(path), matrix)
 
     def test_writer_rejects_non_binary(self, tmp_path):
         for bad in ([[0.0, 0.5]], [[2.0]], [[-1.0, 0.0]]):
