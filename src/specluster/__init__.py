@@ -24,17 +24,6 @@ from .analysis import (
     score,
 )
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
-from .harness import (
-    CellAggregate,
-    SweepResult,
-    SweepSpec,
-    TrialRecord,
-    cell_index,
-    derive,
-    run_sweep,
-    write_csv,
-    write_records_jsonl,
-)
 from .kmeans import KMeansResult, kmeans
 from .linalg import (
     RankKApprox,
@@ -73,6 +62,22 @@ from .pipeline import (
 )
 
 __version__ = "0.1.0"
+
+# The sweep harness imports multiprocessing, csv and hashlib, which only
+# sweeps use, so its names load it on first access (PEP 562).
+_HARNESS_NAMES = frozenset(
+    "CellAggregate SweepResult SweepSpec TrialRecord cell_index derive run_sweep write_csv "
+    "write_records_jsonl".split()
+)
+
+
+def __getattr__(name):
+    if name in _HARNESS_NAMES:
+        from . import harness
+
+        return getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AssignmentMargins",

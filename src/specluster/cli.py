@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .analysis import condition_report, score
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
-from .harness import SweepSpec, run_sweep, write_csv, write_records_jsonl
 from .models import (
     BsbmParams,
     MixtureModel,
@@ -132,6 +131,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    # Imported here: only sweeps need the harness and its process pool.
+    from .harness import SweepSpec, run_sweep, write_csv, write_records_jsonl
+
     spec = SweepSpec.from_json(args.spec)
     result = run_sweep(spec, workers=args.workers)
     csv_path = Path(args.out).with_suffix(".csv")

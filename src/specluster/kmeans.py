@@ -144,6 +144,8 @@ def kmeans(
         raise InvalidInputError(f"k={k} exceeds number of rows {m}")
     if restarts < 1:
         raise InvalidInputError("restarts must be at least 1")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
     xc = np.ascontiguousarray(x[order])

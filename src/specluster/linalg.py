@@ -1,20 +1,20 @@
 """Dense linear-algebra kernels: truncated SVD, norms, squared distances and
 center matching.
 
-The truncated SVD is self-contained by design: block power iteration
-(subspace iteration) with modified Gram-Schmidt re-orthonormalization for
-large inputs, and a full eigendecomposition of the Gram matrix by cyclic
-Jacobi rotations when the small dimension is at most ``JACOBI_CUTOVER``.
-The Jacobi path doubles as an independent oracle for the iterative path,
-which is why both are kept side by side.  Each Jacobi rotation runs in place
-on a two-row and a two-column view, bit-identical to the textbook loop in
-``tests/oracles.py``.  The spectral norm decides no label, so it runs on
-compiled kernels instead: LAPACK for small inputs and ARPACK for the top
-singular value of large ones.
+The truncated SVD is block power iteration (subspace iteration),
+re-orthonormalized by LAPACK's Householder QR, for large inputs, and a full
+eigendecomposition of the Gram matrix by cyclic Jacobi rotations when the
+small dimension is at most ``JACOBI_CUTOVER``.  The Jacobi path doubles as
+an independent oracle for the iterative path, which is why both are kept
+side by side.  Each Jacobi rotation runs in place on a two-row and a
+two-column view, bit-identical to the textbook loop in ``tests/oracles.py``;
+the QR signs its columns as the Gram-Schmidt loop there does.  The spectral
+norm decides no label, so it runs on LAPACK for small inputs and ARPACK for
+the top singular value of large ones.
 
-This is the only module that uses scipy, and it imports scipy on first use,
-so importing the package does not pay for it: ``spectral_norm`` loads
-``scipy.sparse.linalg`` and the assignment solver loads ``scipy.optimize``.
+This is the only module that uses scipy, and it imports scipy on first use:
+the SVD loads ``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg``
+and the assignment solver ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -91,46 +91,19 @@ class RankKApprox:
         return (self.left_vectors * self.singular_values) @ self.right_vectors.T
 
 
-def _orthonormal_columns(w: np.ndarray, pad: bool = True) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt on the columns of ``w``.
+def _orthonormal_columns(w: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the columns of ``w`` (m >= b) by Householder QR.
 
-    Columns that turn out linearly dependent are replaced (when ``pad`` is
-    set) by canonical basis vectors orthogonalized against the ones already
-    accepted, keeping the output a full orthonormal set.
+    Each column of Q is signed so that R's diagonal is nonnegative, the
+    convention Gram-Schmidt produces.  Q is orthonormal for every input:
+    where ``w`` is rank deficient, the reflectors complete the basis.
     """
-    m, b = w.shape
-    q = np.array(w, dtype=np.float64, copy=True)
-    col_norms = np.sqrt(np.sum(q * q, axis=0))
-    scale = float(col_norms.max()) if b else 0.0
-    drop = 1e-12 * scale + 1e-300
-    for j in range(b):
-        v = q[:, j]
-        for _ in range(2):
-            if j:
-                v = v - q[:, :j] @ (q[:, :j].T @ v)
-        nv = float(np.sqrt(v @ v))
-        if nv > drop:
-            q[:, j] = v / nv
-        elif pad:
-            q[:, j] = _fresh_direction(q, j)
-        else:
-            q[:, j] = 0.0
+    geqrf, orgqr = _lapack_qr()
+    qr, tau, _, _ = geqrf(w)
+    signs = np.where(np.diag(qr) < 0.0, -1.0, 1.0)
+    q, _, _ = orgqr(qr, tau, overwrite_a=True)
+    q *= signs
     return q
-
-
-def _fresh_direction(q: np.ndarray, j: int) -> np.ndarray:
-    """First canonical basis vector with a usable component outside span(q[:, :j])."""
-    m = q.shape[0]
-    for t in range(m):
-        v = np.zeros(m)
-        v[t] = 1.0
-        for _ in range(2):
-            if j:
-                v = v - q[:, :j] @ (q[:, :j].T @ v)
-        nv = float(np.sqrt(v @ v))
-        if nv > 1e-3:
-            return v / nv
-    raise ConvergenceError("could not complete an orthonormal basis")
 
 
 def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
@@ -158,6 +131,9 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
     rot = np.empty((2, 2))
     rot3 = rot[:, :, None]
     row_prod, col_prod = np.empty((2, 2, n)), np.empty((2, 2, 2 * n))
+    row_x, row_y = row_prod[:, 0], row_prod[:, 1]
+    col_x, col_y = col_prod[:, 0], col_prod[:, 1]
+    avt = av.T
     for _ in range(max_sweeps):
         off = a - np.diag(np.diag(a))
         if float(np.sqrt(np.sum(off * off))) <= tol * fro:
@@ -177,24 +153,20 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
                 rot[1, 0] = s
                 rows = a[p : q + 1 : q - p]
                 np.multiply(rot3, rows, out=row_prod)
-                np.add(row_prod[:, 0], row_prod[:, 1], out=rows)
-                cols = av[:, p : q + 1 : q - p].T
+                np.add(row_x, row_y, out=rows)
+                cols = avt[p : q + 1 : q - p]
                 np.multiply(rot3, cols, out=col_prod)
-                np.add(col_prod[:, 0], col_prod[:, 1], out=cols)
+                np.add(col_x, col_y, out=cols)
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], v[:, order]
 
 
 def _left_vectors(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orthonormal columns ``w / s``, with directions for negligible s padded in."""
-    q = np.empty_like(w)
-    thresh = (float(s[0]) if s.size else 0.0) * 1e-7 + 1e-300
-    for i in range(s.size):
-        if s[i] > thresh:
-            q[:, i] = w[:, i] / s[i]
-        else:
-            q[:, i] = _fresh_direction(q, i)
+    """Orthonormal columns ``w / s``; QR completes the columns of negligible s."""
+    q = np.zeros_like(w)
+    keep = s > (float(s[0]) if s.size else 0.0) * 1e-7 + 1e-300
+    q[:, keep] = w[:, keep] / s[keep]
     # Re-orthonormalize to kill the O(eps/sigma) drift of near-null columns.
     return _orthonormal_columns(q)
 
@@ -289,13 +261,14 @@ def truncated_svd(
     k : int
         Target rank, 1 <= k <= min(m, n).
     tol : float
-        Relative residual tolerance for the iterative path.
+        Relative residual tolerance for the iterative path; positive.
     max_iter : int
-        Iteration budget; exceeding it raises :class:`ConvergenceError`
+        Iteration budget (>= 0); exceeding it raises :class:`ConvergenceError`
         rather than silently returning an unconverged answer.
     method : str
         "auto" (Jacobi when min(m, n) <= JACOBI_CUTOVER, else subspace
-        iteration), or force "jacobi" / "subspace".
+        iteration re-orthonormalized by Householder QR), or force "jacobi" /
+        "subspace".
 
     The result is deterministic: subspace iteration starts from a basis
     derived from a fixed internal key, not from global random state.
@@ -306,8 +279,10 @@ def truncated_svd(
         raise InvalidInputError("matrix must be nonempty")
     if not 1 <= k <= min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
+    if not tol > 0:
+        raise InvalidInputError(f"tol must be positive, got {tol}")
+    if max_iter < 0:
+        raise InvalidInputError(f"max_iter must be nonnegative, got {max_iter}")
     if method == "auto":
         method = "jacobi" if min(m, n) <= JACOBI_CUTOVER else "subspace"
     if method == "jacobi":
@@ -324,8 +299,16 @@ def import_scipy() -> None:
     For a caller about to fork workers that will need them: each worker
     then inherits the modules instead of importing them on its own.
     """
+    import scipy.linalg.lapack  # noqa: F401
     import scipy.optimize  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
+
+
+def _lapack_qr():
+    """LAPACK's ``dgeqrf`` and ``dorgqr``, imported on first call."""
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+
+    return dgeqrf, dorgqr
 
 
 def svds(a, **kwargs):
@@ -357,6 +340,8 @@ def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
+    if max_iter < 1:
+        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
     if min(m, n) <= JACOBI_CUTOVER:
         return float(np.linalg.norm(a, 2))
     if not a.any():

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own code paths: objectives come from
 exhaustive enumeration and matchings from trying every permutation, so they
 can certify the optimized implementations.  The Jacobi eigensolver is the
-textbook loop the library's in-place version must match bit for bit.
+textbook loop the library's in-place version must match bit for bit, and
+the Gram-Schmidt loop is the one the library's Householder QR replaced.
 """
 
 from itertools import permutations, product
@@ -87,3 +88,36 @@ def jacobi_eigh_reference(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int =
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], v[:, order]
+
+
+def mgs_reference(w: np.ndarray) -> np.ndarray:
+    """Two-pass modified Gram-Schmidt on the columns of ``w``.
+
+    Columns that turn out linearly dependent are replaced by the first
+    canonical basis vector with a usable component outside the span of the
+    columns already accepted, keeping the output a full orthonormal set.
+    """
+    m, b = w.shape
+    q = np.array(w, dtype=np.float64, copy=True)
+    col_norms = np.sqrt(np.sum(q * q, axis=0))
+    drop = 1e-12 * (float(col_norms.max()) if b else 0.0) + 1e-300
+
+    def project_out(v, j):
+        for _ in range(2):
+            if j:
+                v = v - q[:, :j] @ (q[:, :j].T @ v)
+        return v, float(np.sqrt(v @ v))
+
+    for j in range(b):
+        v, nv = project_out(q[:, j], j)
+        if nv <= drop:
+            for t in range(m):
+                e = np.zeros(m)
+                e[t] = 1.0
+                v, nv = project_out(e, j)
+                if nv > 1e-3:
+                    break
+            else:
+                raise ArithmeticError("could not complete an orthonormal basis")
+        q[:, j] = v / nv
+    return q

@@ -332,6 +332,31 @@ def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_cli_import_leaves_the_sweep_harness_unloaded():
+    # A fresh interpreter: in this one other tests have loaded the harness.
+    script = textwrap.dedent(
+        """
+        import sys
+        import specluster.cli
+
+        unwanted = {"specluster.harness", "multiprocessing"} & set(sys.modules)
+        assert not unwanted, unwanted
+        import specluster
+
+        run_sweep = specluster.run_sweep  # loads the harness
+        assert run_sweep is sys.modules["specluster.harness"].run_sweep
+        assert not hasattr(specluster, "no_such_name")
+        namespace = {}
+        exec("from specluster import *", namespace)
+        assert set(specluster.__all__) <= set(namespace), set(specluster.__all__) - set(namespace)
+        """
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=cli_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSweep:
     def spec_file(self, tmp_path, trials=1):
         path = tmp_path / "spec.json"

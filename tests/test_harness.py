@@ -311,6 +311,7 @@ class TestRunSweep:
             real_cluster = harness.cluster
 
             def checked_cluster(matrix, k, seed):
+                assert "scipy.linalg.lapack" in sys.modules, "LAPACK not imported before fork"
                 mapped = test_harness.openblas_paths()
                 assert libraries <= mapped, f"worker maps {mapped}, not all of {libraries}"
                 counts = test_harness.openblas_thread_counts()

@@ -123,3 +123,8 @@ def test_errors():
         kmeans(np.zeros((3, 2)), 4)
     with pytest.raises(InvalidInputError):
         kmeans(np.zeros((3, 2)), 2, restarts=0)
+
+
+def test_zero_iteration_budget_rejected():
+    with pytest.raises(InvalidInputError, match="max_iter"):
+        kmeans(np.eye(3), 2, max_iter=0)

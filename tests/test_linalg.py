@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import brute_force_matching, jacobi_eigh_reference
+from oracles import brute_force_matching, jacobi_eigh_reference, mgs_reference
 from specluster import linalg
 from specluster import (
     ConvergenceError,
@@ -19,7 +19,7 @@ from specluster import (
     spectral_norm,
     truncated_svd,
 )
-from specluster.linalg import _jacobi_eigh
+from specluster.linalg import _jacobi_eigh, _orthonormal_columns
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # sqrt((3 + sqrt 5) / 2), top sigma of [[1,1],[1,0]]
 
@@ -51,6 +51,14 @@ class TestTruncatedSvd:
             truncated_svd(a, 0)
         with pytest.raises(InvalidInputError):
             truncated_svd(a, 4)
+
+    def test_negative_iteration_budget_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            truncated_svd(random_matrix(0, 80, 90), 2, max_iter=-1)
+
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(InvalidInputError, match="tol"):
+            truncated_svd(random_matrix(0, 80, 90), 2, tol=float("nan"))
 
     def test_convergence_failure_reported(self):
         a = random_matrix(0, 80, 90)
@@ -156,6 +164,58 @@ class TestNorms:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             spectral_norm(np.zeros((0, 3)))
+
+    def test_zero_iteration_budget_rejected(self):
+        with pytest.raises(InvalidInputError, match="max_iter"):
+            spectral_norm(random_matrix(50, 150, 220), max_iter=0)
+
+
+class TestOrthonormalColumns:
+    def full_rank_inputs(self):
+        rs = np.random.RandomState(31)
+        data = sample(bsbm_to_mixture(BsbmParams.balanced(400, 400, 4, 0.45, 0.05)), 400, 2).matrix
+        return [
+            rs.randn(5, 1),
+            rs.randn(200, 10),
+            rs.randn(200, 12),
+            rs.rand(64, 64),
+            data[:200] @ rs.randn(400, 12),  # a subspace-iteration step
+        ]
+
+    def test_matches_gram_schmidt_on_full_rank_inputs(self):
+        for w in self.full_rank_inputs():
+            q, ref = _orthonormal_columns(w), mgs_reference(w)
+            assert q.shape == ref.shape
+            assert np.abs(q - ref).max() <= 1e-13
+            assert np.all(np.sum(q * ref, axis=0) > 0.0)  # no column flipped sign
+
+    def test_orthonormal_on_rank_deficient_inputs(self):
+        rs = np.random.RandomState(32)
+        zero_column = rs.randn(40, 6)
+        zero_column[:, 2] = 0.0
+        duplicates = rs.randn(40, 3)
+        duplicates = np.hstack([duplicates, duplicates[:, :2], duplicates[:, :1]])
+        for w in (zero_column, duplicates, np.zeros((40, 6)), np.zeros((6, 6))):
+            q = _orthonormal_columns(w)
+            assert q.shape == w.shape
+            assert np.abs(q.T @ q - np.eye(w.shape[1])).max() <= 1e-14
+            assert np.allclose(q @ (q.T @ w), w, atol=1e-12)  # spans the input's columns
+
+    @pytest.mark.parametrize(
+        "n, ps, seeds", [(400, (0.1, 0.2, 0.45), (0, 1, 2)), (64, (0.1, 0.45), (7,))]
+    )
+    def test_labels_match_gram_schmidt(self, monkeypatch, n, ps, seeds):
+        # The QR that replaced Gram-Schmidt must not flip a column's sign:
+        # k-means seeds from the lexsorted embedding, so a flip moves labels.
+        cases = [(k, p, seed) for k in (2, 4) for p in ps for seed in seeds]
+        data = [
+            sample(bsbm_to_mixture(BsbmParams.balanced(400, n, k, p, 0.05)), 400, seed).matrix
+            for k, p, seed in cases
+        ]
+        labels = [cluster(d, k, seed) for d, (k, _, seed) in zip(data, cases)]
+        monkeypatch.setattr(linalg, "_orthonormal_columns", mgs_reference)
+        for d, (k, p, seed), got in zip(data, cases, labels):
+            assert cluster(d, k, seed).tobytes() == got.tobytes(), (n, k, p, seed)
 
 
 class TestJacobi:
