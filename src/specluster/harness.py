@@ -32,7 +32,7 @@ from .analysis import (
     score,
 )
 from .errors import InvalidInputError
-from .linalg import import_scipy, spectral_norm
+from .linalg import as_count, import_scipy, spectral_norm
 from .models import (
     BinaryDataset,
     bsbm_from_spec,
@@ -361,8 +361,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     stops its own thread pool before a fork, so unpinned BLAS threads are
     safe; each worker then runs OpenBLAS on one thread.
     """
-    if workers is not None and workers < 1:
-        raise InvalidInputError(f"workers must be at least 1, got {workers}")
+    if workers is not None:
+        workers = as_count(workers, "workers", 1)
     cells = spec.cells()
     for params in cells:
         build_cell(spec.family, params)

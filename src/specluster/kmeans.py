@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_matrix, sq_dists
+from .linalg import as_count, as_matrix, sq_dists
 
 DEFAULT_RESTARTS = 10
 DEFAULT_MAX_ITER = 300
@@ -39,29 +39,32 @@ class KMeansResult:
     degenerate: bool
 
 
-def _pairwise_sq(x: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.maximum(sq_dists(x, c), 0.0)
+def _pairwise_sq(x: np.ndarray, c: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
+    return np.maximum(sq_dists(x, c, x_sq), 0.0)
 
 
 def _sse(x: np.ndarray, labels: np.ndarray, c: np.ndarray) -> float:
     diff = x - c[labels]
-    return float(np.sum(diff * diff))
+    return float((diff * diff).sum())
 
 
 def _group_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
-    sums = np.zeros((k, x.shape[1]))
-    np.add.at(sums, labels, x)
+    # bincount adds each group's rows in row order, as np.add.at does.
+    sums = np.empty((k, x.shape[1]))
+    for j in range(x.shape[1]):
+        sums[:, j] = np.bincount(labels, weights=x[:, j], minlength=k)
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     return sums / counts[:, None]
 
 
-def _plus_plus_init(x: np.ndarray, k: int, stream: rng.Stream) -> np.ndarray:
+def _plus_plus_init(x: np.ndarray, x_sq: np.ndarray, k: int, stream: rng.Stream) -> np.ndarray:
     """k-means++ D^2 seeding; surplus picks fall back to cyclic rows when
-    every remaining squared distance is zero (fewer distinct rows than k)."""
+    every remaining squared distance is zero (fewer distinct rows than k).
+    ``x_sq`` holds the squared row norms of ``x``."""
     m = x.shape[0]
     first = stream.index_below(m)
     chosen = [first]
-    d2 = _pairwise_sq(x, x[first : first + 1])[:, 0]
+    d2 = _pairwise_sq(x, x[first : first + 1], x_sq)[:, 0]
     for t in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -71,7 +74,7 @@ def _plus_plus_init(x: np.ndarray, k: int, stream: rng.Stream) -> np.ndarray:
             nxt = int(np.searchsorted(np.cumsum(d2), target, side="right"))
             nxt = min(nxt, m - 1)
         chosen.append(nxt)
-        d2 = np.minimum(d2, _pairwise_sq(x, x[nxt : nxt + 1])[:, 0])
+        d2 = np.minimum(d2, _pairwise_sq(x, x[nxt : nxt + 1], x_sq)[:, 0])
     return x[chosen].copy()
 
 
@@ -82,9 +85,9 @@ def _fix_empty(x, labels, c, d):
     """
     k = c.shape[0]
     counts = np.bincount(labels, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size == 0:
+    if counts.all():
         return labels, c
+    empties = np.flatnonzero(counts == 0)
     labels = labels.copy()
     c = c.copy()
     own = d[np.arange(x.shape[0]), labels].copy()
@@ -100,7 +103,7 @@ def _fix_empty(x, labels, c, d):
     return labels, c
 
 
-def _lloyd(x: np.ndarray, c0: np.ndarray, max_iter: int):
+def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray, max_iter: int):
     k = c0.shape[0]
     c = c0.copy()
     labels = None
@@ -108,10 +111,10 @@ def _lloyd(x: np.ndarray, c0: np.ndarray, max_iter: int):
     iterations = 0
     for _ in range(max_iter):
         iterations += 1
-        d = _pairwise_sq(x, c)
+        d = _pairwise_sq(x, c, x_sq)
         new_labels = np.argmin(d, axis=1)
         new_labels, c = _fix_empty(x, new_labels, c, d)
-        converged = labels is not None and np.array_equal(labels, new_labels)
+        converged = labels is not None and bool((labels == new_labels).all())
         labels = new_labels
         c = _group_means(x, labels, k)
         trace.append(_sse(x, labels, c))
@@ -138,14 +141,11 @@ def kmeans(
     m = x.shape[0]
     if m == 0:
         raise InvalidInputError("kmeans requires at least one row")
-    if k < 1:
-        raise InvalidInputError("k must be at least 1")
+    k = as_count(k, "k", 1)
     if k > m:
         raise InvalidInputError(f"k={k} exceeds number of rows {m}")
-    if restarts < 1:
-        raise InvalidInputError("restarts must be at least 1")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
+    restarts = as_count(restarts, "restarts", 1)
+    max_iter = as_count(max_iter, "max_iter", 1)
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
     xc = np.ascontiguousarray(x[order])
@@ -154,12 +154,13 @@ def kmeans(
     else:
         distinct = 1
     degenerate = distinct < k
+    xc_sq = np.sum(xc * xc, axis=1)
 
     best = None
     for j in range(restarts):
         stream = rng.Stream(seed, rng.TAG_KMEANS, j)
-        c0 = _plus_plus_init(xc, k, stream)
-        labels_c, c, obj, iters, trace = _lloyd(xc, c0, max_iter)
+        c0 = _plus_plus_init(xc, xc_sq, k, stream)
+        labels_c, c, obj, iters, trace = _lloyd(xc, xc_sq, c0, max_iter)
         if best is None or obj < best[0]:
             best = (obj, labels_c, c, iters, trace)
 

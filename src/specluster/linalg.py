@@ -19,6 +19,7 @@ and the assignment solver ``scipy.optimize``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,13 +46,30 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def sq_dists(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+def as_count(value, name: str, minimum: int) -> int:
+    """An int or numpy integer of at least ``minimum`` as int.
+
+    Anything else, bool and integral floats included, raises
+    :class:`InvalidInputError` naming ``name``.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidInputError(f"{name} must be at least {minimum}, got {value}")
+    return int(value)
+
+
+def sq_dists(a: np.ndarray, c: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between the rows of ``a`` and of ``c``.
 
     Expanded as ``|a|^2 + |c|^2 - 2 a.c``, so entries can fall slightly
     below zero through rounding; callers that need a true distance clamp.
+    ``a_sq``, if given, must be ``np.sum(a * a, axis=1)``: a caller that
+    measures many ``c`` against one ``a`` computes it once.
     """
-    return np.sum(a * a, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :] - 2.0 * (a @ c.T)
+    if a_sq is None:
+        a_sq = (a * a).sum(axis=1)
+    return a_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (a @ c.T)
 
 
 def frobenius_norm(a) -> float:
@@ -100,7 +118,7 @@ def _orthonormal_columns(w: np.ndarray) -> np.ndarray:
     """
     geqrf, orgqr = _lapack_qr()
     qr, tau, _, _ = geqrf(w)
-    signs = np.where(np.diag(qr) < 0.0, -1.0, 1.0)
+    signs = np.where(qr.diagonal() < 0.0, -1.0, 1.0)
     q, _, _ = orgqr(qr, tau, overwrite_a=True)
     q *= signs
     return q
@@ -115,9 +133,10 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
 
     Each rotation runs in place on rows p and q of the matrix, then on
     columns p and q of the matrix and eigenvectors, stacked in one
-    ``(2n, n)`` array.  IEEE rounds ``c*x + (-s)*y`` as ``c*x - s*y`` and
-    addition commutes, so the bytes match the textbook loop
-    ``jacobi_eigh_reference`` in ``tests/oracles.py``.
+    ``(2n, n)`` array.  Both views of every pair (p, q) are built once per
+    call, before the first sweep.  IEEE rounds ``c*x + (-s)*y`` as
+    ``c*x - s*y`` and addition commutes, so the bytes match the textbook
+    loop ``jacobi_eigh_reference`` in ``tests/oracles.py``.
     """
     n = sym.shape[0]
     av = np.empty((2 * n, n))
@@ -134,29 +153,31 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
     row_x, row_y = row_prod[:, 0], row_prod[:, 1]
     col_x, col_y = col_prod[:, 0], col_prod[:, 1]
     avt = av.T
+    pairs = [
+        (p, q, a[p : q + 1 : q - p], avt[p : q + 1 : q - p])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
     for _ in range(max_sweeps):
         off = a - np.diag(np.diag(a))
         if float(np.sqrt(np.sum(off * off))) <= tol * fro:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a.item(p, q)
-                if abs(apq) <= skip:
-                    continue
-                tau = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
-                sgn = 1.0 if tau >= 0 else -1.0
-                t = sgn / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                rot[0, 0] = rot[1, 1] = c
-                rot[0, 1] = -s
-                rot[1, 0] = s
-                rows = a[p : q + 1 : q - p]
-                np.multiply(rot3, rows, out=row_prod)
-                np.add(row_x, row_y, out=rows)
-                cols = avt[p : q + 1 : q - p]
-                np.multiply(rot3, cols, out=col_prod)
-                np.add(col_x, col_y, out=cols)
+        for p, q, rows, cols in pairs:
+            apq = a.item(p, q)
+            if abs(apq) <= skip:
+                continue
+            tau = (a.item(q, q) - a.item(p, p)) / (2.0 * apq)
+            sgn = 1.0 if tau >= 0 else -1.0
+            t = sgn / (abs(tau) + math.sqrt(1.0 + tau * tau))
+            c = 1.0 / math.sqrt(1.0 + t * t)
+            s = t * c
+            rot[0, 0] = rot[1, 1] = c
+            rot[0, 1] = -s
+            rot[1, 0] = s
+            np.multiply(rot3, rows, out=row_prod)
+            np.add(row_x, row_y, out=rows)
+            np.multiply(rot3, cols, out=col_prod)
+            np.add(col_x, col_y, out=cols)
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], v[:, order]
@@ -277,12 +298,12 @@ def truncated_svd(
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
-    if not 1 <= k <= min(m, n):
+    k = as_count(k, "k", 1)
+    if k > min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
     if not tol > 0:
         raise InvalidInputError(f"tol must be positive, got {tol}")
-    if max_iter < 0:
-        raise InvalidInputError(f"max_iter must be nonnegative, got {max_iter}")
+    max_iter = as_count(max_iter, "max_iter", 0)
     if method == "auto":
         method = "jacobi" if min(m, n) <= JACOBI_CUTOVER else "subspace"
     if method == "jacobi":
@@ -304,8 +325,9 @@ def import_scipy() -> None:
     import scipy.sparse.linalg  # noqa: F401
 
 
+@functools.cache
 def _lapack_qr():
-    """LAPACK's ``dgeqrf`` and ``dorgqr``, imported on first call."""
+    """LAPACK's ``dgeqrf`` and ``dorgqr``, looked up on the first call only."""
     from scipy.linalg.lapack import dgeqrf, dorgqr
 
     return dgeqrf, dorgqr
@@ -340,8 +362,7 @@ def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
-    if max_iter < 1:
-        raise InvalidInputError(f"max_iter must be at least 1, got {max_iter}")
+    max_iter = as_count(max_iter, "max_iter", 1)
     if min(m, n) <= JACOBI_CUTOVER:
         return float(np.linalg.norm(a, 2))
     if not a.any():

@@ -107,7 +107,13 @@ def permutation(key: int, n: int) -> np.ndarray:
 
 
 class Stream:
-    """Sequential uniform stream backed by a counter under a fixed key."""
+    """Sequential uniform stream backed by a counter under a fixed key.
+
+    Draw i is ``uniform_array(key, [i])[0]``, whichever method reads it.
+    ``uniform`` computes a single draw on Python ints through the scalar
+    SplitMix64 chain: the top 53 bits convert to float64 exactly, so it
+    equals the vectorized draw bit for bit at a small part of its cost.
+    """
 
     __slots__ = ("_key", "_counter")
 
@@ -121,7 +127,9 @@ class Stream:
         return _to_unit(mix64_array(self._key, idx))
 
     def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
+        h = _mix_int(self._key ^ _mix_int(self._counter))
+        self._counter += 1
+        return (h >> 11) * 2.0**-53
 
     def index_below(self, n: int) -> int:
         """Uniform index in [0, n); bias is below 2**-53 per draw."""

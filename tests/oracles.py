@@ -3,13 +3,17 @@
 These deliberately avoid the library's own code paths: objectives come from
 exhaustive enumeration and matchings from trying every permutation, so they
 can certify the optimized implementations.  The Jacobi eigensolver is the
-textbook loop the library's in-place version must match bit for bit, and
-the Gram-Schmidt loop is the one the library's Householder QR replaced.
+textbook loop the library's in-place version must match bit for bit, the
+Gram-Schmidt loop is the one the library's Householder QR replaced, and
+the k-means loop is the one the library's k-means must match bit for bit.
 """
 
 from itertools import permutations, product
 
 import numpy as np
+
+from specluster import rng
+from specluster.kmeans import KMeansResult
 
 
 def exhaustive_kmeans_objective(points: np.ndarray, k: int) -> float:
@@ -121,3 +125,97 @@ def mgs_reference(w: np.ndarray) -> np.ndarray:
                 raise ArithmeticError("could not complete an orthonormal basis")
         q[:, j] = v / nv
     return q
+
+
+def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed: int = 0):
+    """Best of ``restarts`` k-means++ runs of Lloyd's loop, as a KMeansResult.
+
+    Each seeding draw is read from the vectorized ``Stream.uniforms``, group
+    sums come from ``np.add.at``, and every distance evaluation recomputes
+    the row norms.  Inputs are assumed valid.
+    """
+    x = np.asarray(rows, dtype=np.float64)
+    m = x.shape[0]
+
+    def pairwise_sq(x, c):
+        d = np.sum(x * x, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :] - 2.0 * (x @ c.T)
+        return np.maximum(d, 0.0)
+
+    def draw(stream):
+        return float(stream.uniforms(1)[0])
+
+    def plus_plus_init(x, stream):
+        first = min(int(draw(stream) * m), m - 1)
+        chosen = [first]
+        d2 = pairwise_sq(x, x[first : first + 1])[:, 0]
+        for t in range(1, k):
+            total = float(d2.sum())
+            if total <= 0.0:
+                nxt = (first + t) % m
+            else:
+                target = draw(stream) * total
+                nxt = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+                nxt = min(nxt, m - 1)
+            chosen.append(nxt)
+            d2 = np.minimum(d2, pairwise_sq(x, x[nxt : nxt + 1])[:, 0])
+        return x[chosen].copy()
+
+    def fix_empty(x, labels, c, d):
+        counts = np.bincount(labels, minlength=k)
+        empties = np.flatnonzero(counts == 0)
+        if empties.size == 0:
+            return labels, c
+        labels = labels.copy()
+        c = c.copy()
+        own = d[np.arange(x.shape[0]), labels].copy()
+        for e in empties:
+            eligible = counts[labels] > 1
+            masked = np.where(eligible, own, -1.0)
+            i = int(np.argmax(masked))
+            counts[labels[i]] -= 1
+            labels[i] = e
+            counts[e] = 1
+            c[e] = x[i]
+            own[i] = 0.0
+        return labels, c
+
+    def lloyd(x, c0):
+        c = c0.copy()
+        labels = None
+        trace = []
+        iterations = 0
+        for _ in range(max_iter):
+            iterations += 1
+            d = pairwise_sq(x, c)
+            new_labels = np.argmin(d, axis=1)
+            new_labels, c = fix_empty(x, new_labels, c, d)
+            converged = labels is not None and np.array_equal(labels, new_labels)
+            labels = new_labels
+            sums = np.zeros((k, x.shape[1]))
+            np.add.at(sums, labels, x)
+            counts = np.bincount(labels, minlength=k).astype(np.float64)
+            c = sums / counts[:, None]
+            diff = x - c[labels]
+            trace.append(float(np.sum(diff * diff)))
+            if converged:
+                break
+        return labels, c, trace[-1], iterations, tuple(trace)
+
+    order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
+    xc = np.ascontiguousarray(x[order])
+    if m > 1:
+        distinct = 1 + int(np.count_nonzero(np.any(xc[1:] != xc[:-1], axis=1)))
+    else:
+        distinct = 1
+
+    best = None
+    for j in range(restarts):
+        stream = rng.Stream(seed, rng.TAG_KMEANS, j)
+        labels_c, c, obj, iters, trace = lloyd(xc, plus_plus_init(xc, stream))
+        if best is None or obj < best[0]:
+            best = (obj, labels_c, c, iters, trace)
+
+    obj, labels_c, c, iters, trace = best
+    labels = np.empty(m, dtype=np.int64)
+    labels[order] = labels_c
+    return KMeansResult(labels, c, obj, iters, trace, distinct < k)

@@ -236,6 +236,11 @@ class TestRunSweep:
         with pytest.raises(InvalidInputError, match="workers must be at least 1"):
             run_sweep(noiseless_spec(trials=2), workers=workers)
 
+    @pytest.mark.parametrize("workers", [1.5, 2.0, True])
+    def test_rejects_non_integral_worker_count(self, workers):
+        with pytest.raises(InvalidInputError, match="workers must be an integer, got"):
+            run_sweep(noiseless_spec(trials=2), workers=workers)
+
     def test_pool_error_is_first_failure_in_grid_order(self, monkeypatch):
         spec = noiseless_spec(trials=3, axes={"m": [20, 24]})
         seeds = [derive(0, cell_index(params), t) for params in spec.cells() for t in range(3)]

@@ -1,8 +1,14 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import exhaustive_kmeans_objective
-from specluster import InvalidInputError, kmeans
+from oracles import exhaustive_kmeans_objective, kmeans_reference
+from specluster import InvalidInputError, SweepSpec, kmeans, pipeline, run_sweep
+
+kmeans_module = importlib.import_module("specluster.kmeans")
 
 SIX_POINTS = np.array(
     [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [10.0, 10.0], [10.0, 11.0], [11.0, 10.0]]
@@ -128,3 +134,105 @@ def test_errors():
 def test_zero_iteration_budget_rejected():
     with pytest.raises(InvalidInputError, match="max_iter"):
         kmeans(np.eye(3), 2, max_iter=0)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs, name",
+    [
+        ((2,), {"max_iter": 2.5}, "max_iter"),
+        ((2,), {"restarts": 2.5}, "restarts"),
+        ((2.0,), {}, "k"),
+        ((2,), {"max_iter": True}, "max_iter"),
+        ((True,), {}, "k"),
+    ],
+)
+def test_non_integral_budget_rejected(args, kwargs, name):
+    with pytest.raises(InvalidInputError, match=f"{name} must be an integer, got"):
+        kmeans(np.random.RandomState(0).rand(10, 3), *args, **kwargs)
+
+
+def test_numpy_integer_budgets_accepted():
+    rows = np.random.RandomState(4).rand(20, 3)
+    got = kmeans(rows, np.int64(3), restarts=np.int32(4), max_iter=np.uint8(50), seed=2)
+    assert_same_bytes(got, kmeans(rows, 3, restarts=4, max_iter=50, seed=2))
+
+
+def assert_same_bytes(got, ref):
+    assert got.labels.dtype == ref.labels.dtype
+    assert got.labels.tobytes() == ref.labels.tobytes()
+    assert got.centroids.shape == ref.centroids.shape
+    assert got.centroids.tobytes() == ref.centroids.tobytes()
+    assert np.float64(got.objective).tobytes() == np.float64(ref.objective).tobytes()
+    assert np.array(got.objective_trace).tobytes() == np.array(ref.objective_trace).tobytes()
+    assert got.iterations == ref.iterations
+    assert got.degenerate == ref.degenerate
+
+
+@st.composite
+def kmeans_inputs(draw):
+    """Rows drawn from a small pool (so duplicates are common), 0-4 columns."""
+    m = draw(st.integers(1, 24))
+    n = draw(st.integers(0, 4))
+    value = st.one_of(
+        st.integers(-3, 3).map(float),
+        st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    )
+    pool = draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=1, max_size=m))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m))
+    rows = np.array([pool[i] for i in picks], dtype=np.float64).reshape(m, n)
+    k = draw(st.integers(1, min(6, m)))
+    restarts = draw(st.integers(1, 10))
+    max_iter = draw(st.one_of(st.integers(1, 3), st.just(300)))
+    return rows, k, restarts, max_iter, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=150)
+@given(kmeans_inputs())
+def test_matches_reference_loop_bytes(case):
+    rows, k, restarts, max_iter, seed = case
+    assert_same_bytes(
+        kmeans(rows, k, restarts=restarts, max_iter=max_iter, seed=seed),
+        kmeans_reference(rows, k, restarts, max_iter, seed),
+    )
+
+
+def test_empty_cluster_repair_matches_reference_bytes(monkeypatch):
+    # Two distinct rows and k=3: the third seed duplicates a chosen row, so
+    # its cluster starts empty and the repair must refill it.
+    rows = np.vstack([np.zeros((5, 2)), np.ones((5, 2))])
+    repaired = []
+    real_fix_empty = kmeans_module._fix_empty
+
+    def recording_fix_empty(x, labels, c, d):
+        repaired.append(np.bincount(labels, minlength=c.shape[0]).min() == 0)
+        return real_fix_empty(x, labels, c, d)
+
+    monkeypatch.setattr(kmeans_module, "_fix_empty", recording_fix_empty)
+    for seed in range(4):
+        assert_same_bytes(kmeans(rows, 3, seed=seed), kmeans_reference(rows, 3, seed=seed))
+    assert any(repaired)
+
+
+def test_sweep_grid_embeddings_match_reference_bytes(monkeypatch):
+    # The inputs cluster() hands to k-means on the benchmark's 400x400 grid.
+    calls = []
+
+    def recording_kmeans(rows, k, restarts, seed):
+        calls.append((np.array(rows), k, restarts, seed))
+        return kmeans(rows, k, restarts=restarts, seed=seed)
+
+    monkeypatch.setattr(pipeline, "kmeans", recording_kmeans)
+    spec = SweepSpec(
+        family="bsbm",
+        axes={"k": [2, 4], "p": [0.1, 0.15, 0.2, 0.3, 0.45]},
+        fixed={"m": 400, "n": 400, "q": 0.05},
+        trials_per_cell=1,
+        base_seed=0,
+    )
+    run_sweep(spec, workers=1)
+    assert len(calls) == 20
+    for rows, k, restarts, seed in calls:
+        assert_same_bytes(
+            kmeans(rows, k, restarts=restarts, seed=seed),
+            kmeans_reference(rows, k, restarts, seed=seed),
+        )

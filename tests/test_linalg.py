@@ -56,6 +56,24 @@ class TestTruncatedSvd:
         with pytest.raises(InvalidInputError, match="max_iter"):
             truncated_svd(random_matrix(0, 80, 90), 2, max_iter=-1)
 
+    @pytest.mark.parametrize(
+        "args, kwargs, name",
+        [
+            ((2,), {"max_iter": 2.5}, "max_iter"),
+            ((2.0,), {}, "k"),
+            ((2,), {"max_iter": True}, "max_iter"),
+        ],
+    )
+    def test_non_integral_budget_rejected(self, args, kwargs, name):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer, got"):
+            truncated_svd(random_matrix(0, 80, 90), *args, **kwargs)
+
+    def test_numpy_integer_budgets_accepted(self):
+        a = random_matrix(0, 80, 90)
+        got = truncated_svd(a, np.int64(2), max_iter=np.int32(200))
+        ref = truncated_svd(a, 2, max_iter=200)
+        assert got.left_vectors.tobytes() == ref.left_vectors.tobytes()
+
     def test_nan_tolerance_rejected(self):
         with pytest.raises(InvalidInputError, match="tol"):
             truncated_svd(random_matrix(0, 80, 90), 2, tol=float("nan"))
@@ -168,6 +186,21 @@ class TestNorms:
     def test_zero_iteration_budget_rejected(self):
         with pytest.raises(InvalidInputError, match="max_iter"):
             spectral_norm(random_matrix(50, 150, 220), max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 2.0, True])
+    def test_non_integral_budget_rejected(self, max_iter):
+        with pytest.raises(InvalidInputError, match="max_iter must be an integer, got"):
+            spectral_norm(random_matrix(50, 150, 220), max_iter=max_iter)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_c", [((30, 4), (5, 4)), ((1, 3), (1, 3)), ((7, 0), (2, 0))]
+)
+def test_sq_dists_given_row_norms_is_byte_identical(shape_a, shape_c):
+    rs = np.random.RandomState(17)
+    a, c = rs.randn(*shape_a) * 1e3, rs.randn(*shape_c)
+    got = linalg.sq_dists(a, c, a_sq=np.sum(a * a, axis=1))
+    assert got.tobytes() == linalg.sq_dists(a, c).tobytes()
 
 
 class TestOrthonormalColumns:
