@@ -9,7 +9,7 @@ booleans under a caller-chosen slack constant, never into hard pass/fail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,16 +33,7 @@ class ConditionReport:
     talagrand_ratio: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "spectral_noise_sq": self.spectral_noise_sq,
-            "spectral_threshold": self.spectral_threshold,
-            "m_sigma_sq": self.m_sigma_sq,
-            "delta_mu": self.delta_mu,
-            "sigma_over_wmin_sqrt": self.sigma_over_wmin_sqrt,
-            "bsbm_lhs": self.bsbm_lhs,
-            "bsbm_rhs_shape": self.bsbm_rhs_shape,
-            "talagrand_ratio": self.talagrand_ratio,
-        }
+        return asdict(self)
 
 
 def condition_report(

@@ -17,10 +17,13 @@ from pathlib import Path
 from .analysis import condition_report, score
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
 from .models import (
+    BSBM_KEYS,
+    MIXTURE_KEYS,
     BsbmParams,
     MixtureModel,
     bsbm_from_spec,
     bsbm_to_mixture,
+    check_keys,
     load_dataset,
     mixture_from_spec,
     read_json,
@@ -72,9 +75,11 @@ def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
     where = f"model file {path}"
     kind = spec_value(obj, "kind", str, where)
     if kind == "bsbm":
+        check_keys(obj, ("kind", *BSBM_KEYS), where)
         params = bsbm_from_spec(obj, where)
         return bsbm_to_mixture(params), params.m, params
     if kind == "mixture":
+        check_keys(obj, ("kind", "m", *MIXTURE_KEYS), where)
         return mixture_from_spec(obj, where), spec_value(obj, "m", strict_int, where), None
     raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
@@ -84,7 +89,9 @@ def cmd_generate(args) -> int:
     if (args.bsbm is None) == (args.model is None):
         raise InvalidInputError("generate needs exactly one of --bsbm or --model")
     if args.bsbm is not None:
-        params = bsbm_from_spec(_parse_kv(args.bsbm), "--bsbm")
+        spec = _parse_kv(args.bsbm)
+        check_keys(spec, BSBM_KEYS[:5], "--bsbm")
+        params = bsbm_from_spec(spec, "--bsbm")
         model, m, bsbm = bsbm_to_mixture(params), params.m, params
     else:
         model, m, bsbm = _model_from_file(args.model)

@@ -18,7 +18,7 @@ import json
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -32,11 +32,12 @@ from .analysis import (
     score,
 )
 from .errors import InvalidInputError
-from .linalg import as_count, import_scipy, spectral_norm
+from .linalg import as_count, as_int, import_scipy, spectral_norm
 from .models import (
     BinaryDataset,
     bsbm_from_spec,
     bsbm_to_mixture,
+    check_keys,
     expected_from_truth,
     mixture_from_spec,
     read_json,
@@ -109,8 +110,9 @@ class SweepSpec:
         for name, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidInputError(f"axis {name!r} must be a nonempty list")
-        if self.trials_per_cell < 1:
-            raise InvalidInputError("trials_per_cell must be at least 1")
+        for name in ("trials_per_cell", "margin_draws"):
+            object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
+        object.__setattr__(self, "base_seed", as_int(self.base_seed, "base_seed"))
         if not isinstance(self.diagnostics, (list, tuple)) or not all(
             isinstance(name, str) for name in self.diagnostics
         ):
@@ -121,14 +123,13 @@ class SweepSpec:
         unknown = set(self.diagnostics) - set(DIAGNOSTICS)
         if unknown:
             raise InvalidInputError(f"unknown diagnostics: {sorted(unknown)}")
-        if self.margin_draws < 1:
-            raise InvalidInputError("margin_draws must be at least 1")
 
     @classmethod
     def from_json(cls, path) -> "SweepSpec":
         where = f"sweep spec {path}"
         obj = read_json(path, "sweep spec")
         family = spec_value(obj, "family", str, where)  # also checks obj is an object
+        check_keys(obj, [f.name for f in fields(cls)], where)
         obj = {"fixed": {}, "base_seed": 0, "diagnostics": (), "margin_draws": 200, **obj}
         return cls(
             family=family,
@@ -188,14 +189,7 @@ class TrialRecord:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        return {
-            "parameters": self.parameters,
-            "trial": self.trial,
-            "seed": self.seed,
-            "exact": self.exact,
-            "accuracy": self.accuracy,
-            "diagnostics": self.diagnostics,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_count, as_matrix, sq_dists
+from .linalg import as_count, as_int, as_matrix, sq_dists
 
 DEFAULT_RESTARTS = 10
 DEFAULT_MAX_ITER = 300
@@ -146,6 +146,7 @@ def kmeans(
         raise InvalidInputError(f"k={k} exceeds number of rows {m}")
     restarts = as_count(restarts, "restarts", 1)
     max_iter = as_count(max_iter, "max_iter", 1)
+    seed = as_int(seed, "seed")
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
     xc = np.ascontiguousarray(x[order])

@@ -1,16 +1,19 @@
 """Dense linear-algebra kernels: truncated SVD, norms, squared distances and
 center matching.
 
-The truncated SVD is block power iteration (subspace iteration),
-re-orthonormalized by LAPACK's Householder QR, for large inputs, and a full
-eigendecomposition of the Gram matrix by cyclic Jacobi rotations when the
-small dimension is at most ``JACOBI_CUTOVER``.  The Jacobi path doubles as
-an independent oracle for the iterative path, which is why both are kept
-side by side.  Each Jacobi rotation runs in place on a two-row and a
-two-column view, bit-identical to the textbook loop in ``tests/oracles.py``;
-the QR signs its columns as the Gram-Schmidt loop there does.  The spectral
-norm decides no label, so it runs on LAPACK for small inputs and ARPACK for
-the top singular value of large ones.
+The truncated SVD is ``jacobi_svd`` when the small dimension is at most
+``JACOBI_CUTOVER``, and block power iteration (subspace iteration),
+re-orthonormalized by LAPACK's Householder QR, for larger inputs.
+``jacobi_svd`` is the one small-SVD kernel: a cyclic Jacobi
+eigendecomposition of the smaller Gram matrix.  The Rayleigh-Ritz step of
+subspace iteration is ``jacobi_svd(A·V)``, so the two paths share that
+kernel and neither is an independent oracle for the other.  The kernel is
+checked on its own against numpy's ``eigh`` and, bit for bit, against the
+textbook loop in ``tests/oracles.py``: each rotation runs in place on a
+two-row and a two-column view.  The QR signs its columns as the
+Gram-Schmidt loop there does.  The spectral norm decides no label, so it
+runs on LAPACK for small inputs and ARPACK for the top singular value of
+large ones.
 
 This is the only module that uses scipy, and it imports scipy on first use:
 the SVD loads ``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg``
@@ -46,17 +49,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def as_count(value, name: str, minimum: int) -> int:
-    """An int or numpy integer of at least ``minimum`` as int.
+def as_int(value, name: str) -> int:
+    """An int or numpy integer, of any sign, as int: the check for seeds.
 
     Anything else, bool and integral floats included, raises
     :class:`InvalidInputError` naming ``name``.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def as_count(value, name: str, minimum: int) -> int:
+    """:func:`as_int` of at least ``minimum``: the check for budgets and counts."""
+    value = as_int(value, name)
     if value < minimum:
         raise InvalidInputError(f"{name} must be at least {minimum}, got {value}")
-    return int(value)
+    return value
 
 
 def sq_dists(a: np.ndarray, c: np.ndarray, a_sq: np.ndarray | None = None) -> np.ndarray:
@@ -183,47 +192,37 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
     return eigvals[order], v[:, order]
 
 
-def _left_vectors(w: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Orthonormal columns ``w / s``; QR completes the columns of negligible s."""
-    q = np.zeros_like(w)
-    keep = s > (float(s[0]) if s.size else 0.0) * 1e-7 + 1e-300
-    q[:, keep] = w[:, keep] / s[keep]
-    # Re-orthonormalize to kill the O(eps/sigma) drift of near-null columns.
-    return _orthonormal_columns(q)
-
-
 def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD via Jacobi eigendecomposition of the smaller Gram matrix.
 
-    Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  Intended for
-    small matrices and as the oracle for the iterative path.
+    Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  This is the one
+    small-SVD kernel: ``truncated_svd`` calls it on small inputs and on the
+    Rayleigh-Ritz step of subspace iteration.  A wide input is solved as
+    its transpose, with the factors swapped back.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
-    if n <= m:
-        lam, v = _jacobi_eigh(a.T @ a)
-        s = np.sqrt(np.clip(lam, 0.0, None))
-        u = _left_vectors(a @ v, s)
-    else:
-        lam, u = _jacobi_eigh(a @ a.T)
-        s = np.sqrt(np.clip(lam, 0.0, None))
-        v = _left_vectors(a.T @ u, s)
-    return u, s, v
-
-
-def _ritz_pairs(a: np.ndarray, v: np.ndarray):
-    """Rayleigh-Ritz extraction of singular triplets from the subspace ``v``."""
-    w = a @ v
-    lam, q = _jacobi_eigh(w.T @ w)
+    if n > m:
+        v, s, u = jacobi_svd(a.T)
+        return u, s, v
+    lam, v = _jacobi_eigh(a.T @ a)
     s = np.sqrt(np.clip(lam, 0.0, None))
-    v_r = _orthonormal_columns(v @ q)
-    u_r = _left_vectors(w @ q, s)
-    return u_r, s, v_r
+    # u = a v / s.  The QR completes the columns of negligible s and kills
+    # the O(eps/sigma) drift of near-null ones.
+    u = np.zeros((m, n))
+    keep = s > float(s[0]) * 1e-7 + 1e-300
+    u[:, keep] = (a @ v)[:, keep] / s[keep]
+    return _orthonormal_columns(u), s, v
 
 
-def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int) -> RankKApprox:
+def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int):
+    """``(u, s, v)`` of block power iteration with Rayleigh-Ritz extraction.
+
+    The Ritz step is ``jacobi_svd(a @ v)``: its left factor and singular
+    values are the Ritz triplets, and its right factor rotates ``v``.
+    """
     m, n = a.shape
     b = min(k + _OVERSAMPLE, m, n)
     init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
@@ -234,7 +233,8 @@ def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int) -> RankKAppr
     root_tol = np.sqrt(tol)
     for it in range(max_iter + 1):
         if it % _CHECK_EVERY == 0 or it == max_iter:
-            u_r, s, v_r = _ritz_pairs(a, v)
+            u_r, s, q = jacobi_svd(a @ v)
+            v_r = _orthonormal_columns(v @ q)
             # a @ v_r == s * u_r by construction, so the informative
             # residual is the transposed side.
             resid = a.T @ u_r[:, :k] - v_r[:, :k] * s[:k]
@@ -254,7 +254,7 @@ def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int) -> RankKAppr
                 near_boundary = (s[:k] - s[k]) <= 8.0 * root_tol * scale
                 done = bool(np.all(loose) and np.all(strict | near_boundary))
             if done:
-                return RankKApprox(k, u_r[:, :k].copy(), s[:k].copy(), v_r[:, :k].copy())
+                return u_r, s, v_r
             v = v_r
         if it == max_iter:
             break
@@ -308,10 +308,11 @@ def truncated_svd(
         method = "jacobi" if min(m, n) <= JACOBI_CUTOVER else "subspace"
     if method == "jacobi":
         u, s, v = jacobi_svd(a)
-        return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
-    if method == "subspace":
-        return _subspace_svd(a, k, tol, max_iter)
-    raise InvalidInputError(f"unknown SVD method {method!r}")
+    elif method == "subspace":
+        u, s, v = _subspace_svd(a, k, tol, max_iter)
+    else:
+        raise InvalidInputError(f"unknown SVD method {method!r}")
+    return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
 
 
 def import_scipy() -> None:

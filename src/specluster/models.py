@@ -20,7 +20,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_matrix, sq_dists
+from .linalg import as_int, as_matrix, sq_dists
 
 _WEIGHT_SUM_TOL = 1e-12
 _COUNT_TOL = 1e-6
@@ -256,11 +256,13 @@ class BinaryDataset:
 
 
 def _placement(model: MixtureModel, m: int, seed: int):
-    """Canonical truth order (component blocks) and its seeded placement."""
+    """The checked seed, canonical truth order (component blocks) and its
+    seeded placement."""
+    seed = as_int(seed, "seed")
     counts = cluster_counts(model, m)
     truth_blocks = np.repeat(np.arange(model.k), counts)
     perm = rng.permutation(rng.mix64(seed, rng.TAG_SAMPLE_ORDER, m), m)
-    return truth_blocks, perm
+    return seed, truth_blocks, perm
 
 
 def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
@@ -270,7 +272,7 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
     addressed by hash(seed, i, j), so the dataset is reproducible bit for
     bit regardless of platform or generation schedule.
     """
-    truth_blocks, perm = _placement(model, m, seed)
+    seed, truth_blocks, perm = _placement(model, m, seed)
     grid = rng.uniform_grid(rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), m, model.n)
     bits = (grid < model.means[truth_blocks]).astype(np.float64)
     return BinaryDataset(
@@ -284,7 +286,7 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
 def expected_matrix(model: MixtureModel, m: int, seed: int) -> np.ndarray:
     """Row-wise expectation of ``sample(model, m, seed)``: row i is the mean
     of the component that generated row i under the same placement."""
-    truth_blocks, perm = _placement(model, m, seed)
+    _, truth_blocks, perm = _placement(model, m, seed)
     return model.means[truth_blocks][perm]
 
 
@@ -406,6 +408,14 @@ def _json_object(spec, where: str) -> dict:
     return spec
 
 
+def check_keys(spec, allowed, where: str) -> None:
+    """Reject the first key of a JSON-object spec that is not in ``allowed``
+    with ``<where>: unknown key '<key>'``, so a misspelled key is not ignored."""
+    for key in _json_object(spec, where):
+        if key not in allowed:
+            raise InvalidInputError(f"{where}: unknown key {key!r}")
+
+
 def spec_value(spec: dict, key: str, convert, where: str):
     """``convert(spec[key])`` for a JSON-object spec, else InvalidInputError.
 
@@ -451,6 +461,12 @@ def mixture_from_spec(spec: dict, where: str) -> MixtureModel:
         weights,
         sigma_sq=None if sigma_sq is None else spec_value(spec, "sigma_sq", float, where),
     )
+
+
+# Keys of a B-SBM and of a mixture spec.  The B-SBM's two list-valued keys
+# come last: an inline ``key=value`` spec cannot hold them.
+BSBM_KEYS = ("m", "n", "k", "p", "q", "left_sizes", "right_assignment")
+MIXTURE_KEYS = ("means", "weights", "sigma_sq")
 
 
 def _bsbm_to_json(params: BsbmParams) -> dict:

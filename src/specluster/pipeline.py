@@ -16,7 +16,7 @@ import numpy as np
 from . import rng
 from .errors import InvalidInputError
 from .kmeans import DEFAULT_RESTARTS, KMeansResult, kmeans
-from .linalg import RankKApprox, as_matrix, match_center_sets, sq_dists, truncated_svd
+from .linalg import RankKApprox, as_int, as_matrix, match_center_sets, sq_dists, truncated_svd
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,14 +72,12 @@ class ClusterDetail:
 
 def split_halves(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform split of range(m) into halves of ceil/floor(m/2)."""
-    perm = rng.permutation(rng.mix64(seed, rng.TAG_SPLIT), m)
+    perm = rng.permutation(rng.mix64(as_int(seed, "seed"), rng.TAG_SPLIT), m)
     h = (m + 1) // 2
     return perm[:h].copy(), perm[h:].copy()
 
 
-def find_centers_detailed(
-    matrix, k: int, seed: int, restarts: int = DEFAULT_RESTARTS
-) -> CentersDetail:
+def find_centers_detailed(matrix, k: int, seed: int) -> CentersDetail:
     a = as_matrix(matrix)
     m, n = a.shape
     if k > m:
@@ -91,7 +89,7 @@ def find_centers_detailed(
     # map is an isometry on the row space, so k-means sees identical
     # geometry in k dimensions instead of n.
     embedded = approx.left_vectors * approx.singular_values
-    km = kmeans(embedded, k, restarts=restarts, seed=seed)
+    km = kmeans(embedded, k, restarts=DEFAULT_RESTARTS, seed=seed)
     sizes = np.bincount(km.labels, minlength=k)
     centers = np.empty((k, n))
     for r in range(k):
@@ -99,10 +97,10 @@ def find_centers_detailed(
     return CentersDetail(CenterSet(centers, sizes), km.labels, km, approx)
 
 
-def find_centers(matrix, k: int, seed: int, restarts: int = DEFAULT_RESTARTS) -> CenterSet:
+def find_centers(matrix, k: int, seed: int) -> CenterSet:
     """Estimate k centers: rank-k SVD, k-means on its rows, then averaging
     the corresponding rows of the original matrix."""
-    return find_centers_detailed(matrix, k, seed, restarts).center_set
+    return find_centers_detailed(matrix, k, seed).center_set
 
 
 def assign(matrix, centers) -> np.ndarray:

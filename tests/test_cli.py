@@ -75,6 +75,8 @@ class TestGenerate:
             ("m=10.5,n=8,k=2,p=0.4,q=0.1", "--bsbm: bad value for 'm'"),
             ("m=10,n=8,k=2,p=nan,q=0.1", "p and q must lie in [0, 0.5]"),
             ("m=10,n=8,k=2,p=0.4,q=inf", "p and q must lie in [0, 0.5]"),
+            ("m=10,n=8,k=2,p=0.4,q=0.1,x=3", "--bsbm: unknown key 'x'"),
+            ("m=10,n=8,k=2,p=0.4,q=0.1,left_sizes=55", "--bsbm: unknown key 'left_sizes'"),
         ]:
             assert main(["generate", "--bsbm", inline, "--out", str(tmp_path / "y")]) == 2
             assert message in capsys.readouterr().err
@@ -117,6 +119,21 @@ class TestGenerate:
                 {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [math.nan, math.nan],
                  "m": 4},
                 "weights must be finite",
+            ),
+            (
+                {"kind": "bsbm", "m": 40, "n": 10, "k": 2, "p": 0.4, "q": 0.1,
+                 "left_size": [10, 30]},
+                ": unknown key 'left_size'",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                 "sigma": 1.0, "m": 4},
+                ": unknown key 'sigma'",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                 "m": 4, "p": 0.4},
+                ": unknown key 'p'",
             ),
         ],
     )
@@ -425,6 +442,8 @@ class TestSweep:
             (general(sigma_sq=math.nan), "sigma_sq must be finite"),
             (general(sigma_sq=math.inf), "sigma_sq must be finite"),
             (general(weights=[math.nan, math.nan]), "weights must be finite"),
+            ({"diagnostic": ["conditions"]}, ": unknown key 'diagnostic'"),
+            ({"margin_draw": 5}, ": unknown key 'margin_draw'"),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
             assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2

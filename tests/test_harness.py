@@ -110,6 +110,65 @@ class TestSweepSpec:
         with pytest.raises(InvalidInputError):
             noiseless_spec(diagnostics=("bogus",))
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("base_seed", 2.5, "base_seed must be an integer, got 2.5"),
+            ("base_seed", True, "base_seed must be an integer, got True"),
+            ("trials_per_cell", 1.5, "trials_per_cell must be an integer, got 1.5"),
+            ("trials_per_cell", True, "trials_per_cell must be an integer, got True"),
+            ("trials_per_cell", 0, "trials_per_cell must be at least 1, got 0"),
+            ("margin_draws", 2.5, "margin_draws must be an integer, got 2.5"),
+            ("margin_draws", True, "margin_draws must be an integer, got True"),
+            ("margin_draws", 0, "margin_draws must be at least 1, got 0"),
+        ],
+    )
+    def test_rejects_non_integral_seed_and_counts(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            noiseless_spec(**{field: value})
+
+    def test_numpy_integer_seed_and_counts_give_int_bytes(self, tmp_path):
+        outputs = []
+        for cast in (int, np.int64):
+            spec = noiseless_spec(
+                trials=cast(2), base_seed=cast(-5), diagnostics=("margins",), margin_draws=cast(7)
+            )
+            assert type(spec.base_seed) is type(spec.trials_per_cell) is int
+            result = run_sweep(spec, workers=1)
+            csv_path, jsonl_path = tmp_path / f"{cast.__name__}.csv", tmp_path / "r.jsonl"
+            write_csv(result, csv_path)
+            write_records_jsonl(result, jsonl_path)
+            outputs.append((csv_path.read_bytes(), jsonl_path.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        spec = {
+            "family": "bsbm",
+            "axes": {"p": [0.4]},
+            "fixed": {"m": 10, "n": 8, "k": 2, "q": 0.1},
+            "trials_per_cell": 1,
+        }
+        for key, value in (("diagnostic", ["margins"]), ("margin_draw", 5), ("seed", 1)):
+            path.write_text(json.dumps({**spec, key: value}))
+            with pytest.raises(InvalidInputError, match=f": unknown key '{key}'"):
+                SweepSpec.from_json(path)
+
+    def test_cells_keep_extra_parameters(self, tmp_path):
+        # Unlike the spec's own keys, a cell's extra parameters are allowed:
+        # they become CSV columns and feed the cell key.
+        spec = SweepSpec(
+            family="bsbm",
+            axes={"p": [0.4], "batch": ["a", "b"]},
+            fixed={"m": 10, "n": 8, "k": 2, "q": 0.1},
+            trials_per_cell=1,
+            base_seed=0,
+        )
+        result = run_sweep(spec, workers=1)
+        assert result.records[0].seed != result.records[1].seed
+        write_csv(result, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_text().splitlines()[0].startswith("batch,k,m,n,p,q,")
+
     def test_diagnostics_must_be_a_list(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(

@@ -157,6 +157,18 @@ def test_numpy_integer_budgets_accepted():
     assert_same_bytes(got, kmeans(rows, 3, restarts=4, max_iter=50, seed=2))
 
 
+@pytest.mark.parametrize("seed", [2.5, 2.0, True, "2", None])
+def test_non_integral_seed_rejected(seed):
+    with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
+        kmeans(np.random.RandomState(0).rand(10, 3), 2, seed=seed)
+
+
+def test_numpy_integer_seeds_give_int_seed_bytes():
+    rows = np.random.RandomState(4).rand(20, 3)
+    for seed in (np.int64(-7), np.int32(5), np.uint64(2**63 + 1), np.int8(-1)):
+        assert_same_bytes(kmeans(rows, 3, seed=seed), kmeans(rows, 3, seed=int(seed)))
+
+
 def assert_same_bytes(got, ref):
     assert got.labels.dtype == ref.labels.dtype
     assert got.labels.tobytes() == ref.labels.tobytes()

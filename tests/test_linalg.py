@@ -286,9 +286,11 @@ class TestJacobi:
             assert v.tobytes() == ref_v.tobytes()
             assert v.flags.c_contiguous == ref_v.flags.c_contiguous
 
-    @pytest.mark.parametrize("n", [64, 400])
-    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, n):
-        data = sample(bsbm_to_mixture(BsbmParams.balanced(400, n, 4, 0.45, 0.05)), 400, 7).matrix
+    # 400x64 runs the Jacobi path, 400x400 the subspace path's Ritz step and
+    # 64x400 the transposed (wide) Jacobi branch, on the data and its halves.
+    @pytest.mark.parametrize("m, n", [(400, 64), (400, 400), (64, 400)], ids=["64", "400", "wide"])
+    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, m, n):
+        data = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, 4, 0.45, 0.05)), m, 7).matrix
         labels = cluster(data, 4, 5)
         approx = truncated_svd(data, 4)
         monkeypatch.setattr(linalg, "_jacobi_eigh", jacobi_eigh_reference)
@@ -296,6 +298,16 @@ class TestJacobi:
         assert cluster(data, 4, 5).tobytes() == labels.tobytes()
         for name in ("left_vectors", "singular_values", "right_vectors"):
             assert getattr(approx, name).tobytes() == getattr(ref_approx, name).tobytes()
+
+    @pytest.mark.parametrize("m, n", [(1, 5), (3, 8), (12, 30), (40, 41), (64, 400)])
+    def test_wide_svd_is_the_transposed_svd(self, m, n):
+        a = random_matrix(m * n, m, n)
+        u, s, v = jacobi_svd(a)
+        v_t, s_t, u_t = jacobi_svd(a.T)
+        assert u.shape == (m, m) and v.shape == (n, m)
+        for got, ref in ((u, u_t), (s, s_t), (v, v_t)):
+            assert got.tobytes() == ref.tobytes()
+        assert np.allclose((u * s) @ v.T, a, atol=1e-10)
 
     def test_svd_rank_deficient(self):
         rs = np.random.RandomState(5)

@@ -151,6 +151,29 @@ class TestSampling:
         c = sample(model, 20, 10)
         assert not np.array_equal(a.matrix, c.matrix)
 
+    @pytest.mark.parametrize("seed", [1.5, 1.0, True])
+    def test_non_integral_seed_rejected(self, seed):
+        model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
+        for draw in (sample, expected_matrix):
+            with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
+                draw(model, 40, seed)
+
+    def test_numpy_integer_seeds_give_int_seed_bytes(self, tmp_path):
+        model = bsbm_to_mixture(BsbmParams.balanced(20, 15, 2, 0.4, 0.1))
+        for seed in (np.int64(-4), np.uint32(7)):
+            ref = sample(model, 20, int(seed))
+            got = sample(model, 20, seed)
+            assert got.matrix.tobytes() == ref.matrix.tobytes()
+            assert got.truth.tobytes() == ref.truth.tobytes()
+            assert type(got.seed) is int
+            ref_files = save_dataset(ref, tmp_path / "ref")
+            got_files = save_dataset(got, tmp_path / "got")
+            for a, b in zip(got_files, ref_files):
+                assert a.read_bytes() == b.read_bytes()
+            assert expected_matrix(model, 20, seed).tobytes() == (
+                expected_matrix(model, 20, int(seed)).tobytes()
+            )
+
     def test_column_mean_within_binomial_band(self):
         # One Bernoulli(0.5) column, m = 10_000: the mean falls within 3
         # standard errors with exactly the two-sided binomial probability.

@@ -136,6 +136,11 @@ class TestSplit:
         b1, _ = split_halves(30, seed=1)
         assert not np.array_equal(a1, b1)
 
+    @pytest.mark.parametrize("seed", [1.7, 1.0, True, "1"])
+    def test_non_integral_seed_rejected(self, seed):
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
+            split_halves(30, seed)
+
 
 class TestCluster:
     def test_noiseless_exact(self):
@@ -156,6 +161,17 @@ class TestCluster:
         a = cluster(ds.matrix, 2, seed=9)
         b = cluster(ds.matrix, 2, seed=9)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [1.7, True])
+    def test_non_integral_seed_rejected(self, seed):
+        ds, _ = noiseless_dataset(20, 2)
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
+            cluster(ds.matrix, 2, seed)
+
+    def test_numpy_integer_seeds_give_int_seed_labels(self):
+        ds = sample(bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.45, 0.05)), 40, 5)
+        for seed in (np.int64(-3), np.int32(9), np.uint64(2**64 - 1)):
+            assert cluster(ds.matrix, 2, seed).tobytes() == cluster(ds.matrix, 2, int(seed)).tobytes()
 
     def test_requires_two_k_rows(self):
         with pytest.raises(InvalidInputError):
