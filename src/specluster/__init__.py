@@ -45,6 +45,7 @@ from .models import (
     indicator_model,
     load_dataset,
     min_symmetric_difference,
+    noise_matrix,
     sample,
     save_dataset,
     separation,
@@ -126,6 +127,7 @@ __all__ = [
     "match_center_sets",
     "match_centers_to_means",
     "min_symmetric_difference",
+    "noise_matrix",
     "overlap_check",
     "run_sweep",
     "sample",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .linalg import as_matrix, linear_sum_assignment, match_center_sets, spectral_norm, sq_dists
-from .models import BinaryDataset, MixtureModel, delta_v, expected_from_truth, separation
+from .models import BinaryDataset, MixtureModel, delta_v, noise_matrix, separation
 from .pipeline import CenterSet
 
 
@@ -52,8 +52,7 @@ def condition_report(
         raise InvalidInputError("condition report needs at least two components")
     m, n = dataset.m, dataset.n
     if spectral_noise is None:
-        expected = expected_from_truth(model, dataset.truth)
-        spectral_noise = spectral_norm(dataset.matrix - expected)
+        spectral_noise = spectral_norm(noise_matrix(dataset.matrix, model, dataset.truth))
     dm = separation(model)
     threshold = 0.01 * model.w_min * m * dm * dm / (50.0 * model.k)
     sigma_sq = model.sigma_sq

@@ -38,8 +38,8 @@ from .models import (
     bsbm_from_spec,
     bsbm_to_mixture,
     check_keys,
-    expected_from_truth,
     mixture_from_spec,
+    noise_matrix,
     read_json,
     sample,
     spec_value,
@@ -231,7 +231,7 @@ def run_trial(spec: SweepSpec, params: dict, trial: int) -> TrialRecord:
 def _run_diagnostics(spec, dataset: BinaryDataset, model, k, seed) -> dict:
     out: dict = {}
     if {"conditions", "center_error"} & set(spec.diagnostics):
-        noise = spectral_norm(dataset.matrix - expected_from_truth(model, dataset.truth))
+        noise = spectral_norm(noise_matrix(dataset.matrix, model, dataset.truth))
     if "conditions" in spec.diagnostics:
         report = condition_report(dataset, spectral_noise=noise)
         out["talagrand_ratio"] = report.talagrand_ratio
@@ -255,10 +255,12 @@ def _run_diagnostics(spec, dataset: BinaryDataset, model, k, seed) -> dict:
         if "margins" in spec.diagnostics:
             draws = correct = part1 = part2 = 0
             for r in range(k):
-                grid = rng.uniform_grid(
-                    rng.mix64(seed, rng.TAG_FRESH, r), spec.margin_draws, model.n
+                fresh = rng.bernoulli_grid(
+                    rng.mix64(seed, rng.TAG_FRESH, r),
+                    np.arange(spec.margin_draws),
+                    model.means,
+                    np.full(spec.margin_draws, r),
                 )
-                fresh = (grid < model.means[r]).astype(np.float64)
                 batch = margin_batch(fresh, r, matched, model)
                 draws += batch.draws
                 correct += batch.correct

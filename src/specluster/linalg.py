@@ -74,9 +74,18 @@ def sq_dists(a: np.ndarray, c: np.ndarray, a_sq: np.ndarray | None = None) -> np
     Expanded as ``|a|^2 + |c|^2 - 2 a.c``, so entries can fall slightly
     below zero through rounding; callers that need a true distance clamp.
     ``a_sq``, if given, must be ``np.sum(a * a, axis=1)``: a caller that
-    measures many ``c`` against one ``a`` computes it once.
+    measures many ``c`` against one ``a`` computes it once.  Otherwise a
+    C-ordered ``a`` is summed by :func:`rng.row_blocks`, without a temporary
+    the size of ``a``: each row reduces as it would in the whole matrix.
+    Other layouts take the whole-matrix expression, because numpy orders a
+    row's sum by the layout and a one-row block of them is C-ordered.
     """
-    if a_sq is None:
+    if a_sq is None and a.flags.c_contiguous:
+        a_sq = np.empty(a.shape[0])
+        for rows in rng.row_blocks(*a.shape):
+            block = a[rows]
+            (block * block).sum(axis=1, out=a_sq[rows])
+    elif a_sq is None:
         a_sq = (a * a).sum(axis=1)
     return a_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (a @ c.T)
 
@@ -199,6 +208,13 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     small-SVD kernel: ``truncated_svd`` calls it on small inputs and on the
     Rayleigh-Ritz step of subspace iteration.  A wide input is solved as
     its transpose, with the factors swapped back.
+
+    Cost: each sweep makes one Python-level rotation per pair of columns,
+    so the time grows about as the cube of min(m, n).  On uniform square
+    matrices with one BLAS thread it took 0.38 s at 64 x 64, 2.63 s at
+    200 x 200 and 19.6 s at 400 x 400.  ``truncated_svd``'s ``auto`` method
+    keeps it to min(m, n) <= ``JACOBI_CUTOVER`` (64) and to the Ritz step's
+    small projected matrix; nothing stops a larger call.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -289,7 +305,9 @@ def truncated_svd(
     method : str
         "auto" (Jacobi when min(m, n) <= JACOBI_CUTOVER, else subspace
         iteration re-orthonormalized by Householder QR), or force "jacobi" /
-        "subspace".
+        "subspace".  A forced "jacobi" runs :func:`jacobi_svd` at any size,
+        and its time grows about as the cube of min(m, n): 0.38 s at 64 x 64
+        but 19.6 s at 400 x 400 (one BLAS thread).
 
     The result is deterministic: subspace iteration starts from a basis
     derived from a fixed internal key, not from global random state.

@@ -1,8 +1,14 @@
 """Data models: Bernoulli-product mixtures and the bipartite block model.
 
 Provides the parameter types, their exact separation/variance statistics,
-seeded samplers with entry-level stream splitting, and the on-disk format
-(Matrix Market array file plus a JSON sidecar for labels and parameters).
+seeded samplers with entry-level stream splitting, the noise matrix A - E,
+and the on-disk format (Matrix Market array file plus a JSON sidecar for
+labels and parameters).
+
+The dense path builds no temporary the size of the matrix: ``sample`` draws
+its rows in placed order through :func:`rng.bernoulli_grid`,
+``noise_matrix`` subtracts the expectation by :func:`rng.row_blocks`, and
+the Matrix Market reader and writer hold the entries as uint8 digits.
 """
 
 from __future__ import annotations
@@ -270,32 +276,57 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
 
     Entry (i, j) of the canonical (block-ordered) matrix is a Bernoulli draw
     addressed by hash(seed, i, j), so the dataset is reproducible bit for
-    bit regardless of platform or generation schedule.
+    bit regardless of platform or generation schedule.  The rows are drawn
+    in their placed order: row i of the result hashes canonical row
+    ``perm[i]`` through :func:`rng.bernoulli_grid`, which tests each draw
+    against its mean as an integer threshold, by row blocks, so no
+    canonical-order copy or (m, n) matrix of means is built.
     """
     seed, truth_blocks, perm = _placement(model, m, seed)
-    grid = rng.uniform_grid(rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), m, model.n)
-    bits = (grid < model.means[truth_blocks]).astype(np.float64)
-    return BinaryDataset(
-        matrix=bits[perm],
-        truth=truth_blocks[perm],
-        model=model,
-        seed=seed,
+    truth = truth_blocks[perm]
+    matrix = rng.bernoulli_grid(
+        rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), perm, model.means, truth
     )
+    return BinaryDataset(matrix=matrix, truth=truth, model=model, seed=seed)
 
 
 def expected_matrix(model: MixtureModel, m: int, seed: int) -> np.ndarray:
     """Row-wise expectation of ``sample(model, m, seed)``: row i is the mean
     of the component that generated row i under the same placement."""
     _, truth_blocks, perm = _placement(model, m, seed)
-    return model.means[truth_blocks][perm]
+    return model.means[truth_blocks[perm]]
+
+
+def _checked_truth(model: MixtureModel, truth) -> np.ndarray:
+    truth = np.asarray(truth, dtype=np.int64)
+    if truth.size and (truth.min() < 0 or truth.max() >= model.k):
+        raise InvalidInputError("truth labels out of range for model")
+    return truth
 
 
 def expected_from_truth(model: MixtureModel, truth) -> np.ndarray:
     """Expectation matrix for an explicit per-row truth labeling."""
-    truth = np.asarray(truth, dtype=np.int64)
-    if truth.size and (truth.min() < 0 or truth.max() >= model.k):
-        raise InvalidInputError("truth labels out of range for model")
-    return model.means[truth]
+    return model.means[_checked_truth(model, truth)]
+
+
+def noise_matrix(matrix, model: MixtureModel, truth) -> np.ndarray:
+    """The noise ``A - E``: ``matrix - expected_from_truth(model, truth)``.
+
+    Built by :func:`rng.row_blocks`, so E is never held in full; the bytes
+    are those of the full subtraction.  Finiteness is left to the consumer
+    (``spectral_norm`` checks it), so ``matrix`` is read once.
+    """
+    a = np.asarray(matrix, dtype=np.float64)
+    truth = _checked_truth(model, truth)
+    if truth.ndim != 1 or a.shape != (truth.size, model.n):
+        raise InvalidInputError(
+            f"matrix shape {a.shape} does not match {truth.size} truth labels "
+            f"and {model.n} model columns"
+        )
+    out = np.empty_like(a)
+    for rows in rng.row_blocks(*a.shape):
+        np.subtract(a[rows], model.means[truth[rows]], out=out[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +338,8 @@ def write_matrix_market(path, matrix: np.ndarray) -> None:
     """Write a dense 0/1 matrix in Matrix Market array format (column-major).
 
     Each entry is one line holding the digit 0 or 1; any other entry raises
-    :class:`InvalidInputError`.
+    :class:`InvalidInputError`.  The body is one uint8 buffer of digit and
+    newline bytes, written after the header as it stands.
     """
     matrix = as_matrix(matrix)
     ones = matrix == 1.0
@@ -315,21 +347,24 @@ def write_matrix_market(path, matrix: np.ndarray) -> None:
         raise InvalidInputError("Matrix Market output takes 0/1 entries only")
     m, n = matrix.shape
     lines = np.full((n, m, 2), ord("\n"), dtype=np.uint8)
-    lines[:, :, 0] = np.where(ones.T, ord("1"), ord("0"))
-    header = f"%%MatrixMarket matrix array integer general\n{m} {n}\n"
-    Path(path).write_bytes(header.encode() + lines.tobytes())
+    digits = lines[:, :, 0]
+    digits[...] = ones.T
+    digits += np.uint8(ord("0"))
+    with open(path, "wb") as fh:
+        fh.write(f"%%MatrixMarket matrix array integer general\n{m} {n}\n".encode())
+        fh.write(lines)
 
 
 def _digit_lines(data: bytes, start: int, count: int) -> np.ndarray | None:
-    """The (count, 1) entries of ``data[start:]`` if it is exactly ``count``
-    lines of one ASCII digit and a newline each, else None."""
+    """The (count, 1) uint8 entries of ``data[start:]`` if it is exactly
+    ``count`` lines of one ASCII digit and a newline each, else None."""
     if count == 0 or len(data) - start != 2 * count:
         return None
     lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(count, 2)
     digits = lines[:, 0] - np.uint8(ord("0"))  # bytes below "0" wrap to above 9
     if not (np.all(lines[:, 1] == ord("\n")) and np.all(digits <= 9)):
         return None
-    return digits.astype(np.float64).reshape(count, 1)
+    return digits.reshape(count, 1)
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -341,9 +376,11 @@ def read_matrix_market(path) -> np.ndarray:
 
     The file is read once.  A body of exactly ``m*n`` lines, each one ASCII
     digit and a newline (the layout :func:`write_matrix_market` writes), is
-    decoded in one numpy pass once every byte is checked.  Any other body,
-    with comments, blank lines, CRLF, signs, or multi-digit or real entries,
-    goes to ``np.loadtxt``, which reads digit lines as the same values.
+    decoded in one numpy pass once every byte is checked, and its digits
+    stay uint8 until one conversion into the C-order float64 result.  Any
+    other body, with comments, blank lines, CRLF, signs, or multi-digit or
+    real entries, goes to ``np.loadtxt``, which reads digit lines as the
+    same values.
     """
     data = Path(path).read_bytes()
     # latin-1 decodes any byte, so a binary file fails the checks below.
@@ -383,7 +420,7 @@ def read_matrix_market(path) -> np.ndarray:
         raise InvalidInputError(
             f"{path}: expected {m * n} entries, one per line, found {values.size}"
         )
-    return values.reshape((n, m)).T.copy()
+    return np.ascontiguousarray(values.reshape((n, m)).T, dtype=np.float64)
 
 
 def _model_to_json(model: MixtureModel) -> dict:

@@ -1,10 +1,15 @@
 """Deterministic 64-bit hashing and counter-based random streams.
 
 Every random choice in this package derives from explicit integer keys fed
-through the SplitMix64 finalizer, so outputs are bit-identical across
-platforms, processes, and execution schedules.  There is no hidden global
-state: a value is a pure function of its key, and independent consumers are
-separated by the stream tags below.
+through the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), so
+outputs are bit-identical across platforms, processes, and execution
+schedules.  There is no hidden global state: a value is a pure function of
+its key, and independent consumers are separated by the stream tags below.
+
+The vectorized finalizer runs in place on uint64 buffers.  Kernels that
+build a full (m, n) result, such as :func:`bernoulli_grid`, work through it
+in :func:`row_blocks` of about ``BLOCK_ENTRIES`` entries, so their
+temporaries stay block-sized whatever the matrix size.
 """
 
 from __future__ import annotations
@@ -16,6 +21,9 @@ _CHAIN_INIT = 0x8AC7230489E7FFFF
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# Entries per row block of the blocked kernels (512 KiB of uint64).
+BLOCK_ENTRIES = 1 << 16
 
 # Stream tags.  Distinct consumers mix distinct tags into their keys so that
 # no two subsystems ever read the same stream for the same user seed.
@@ -38,12 +46,28 @@ def _mix_int(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _mix_inplace(x: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on the uint64 array ``x``, in place.
+
+    ``scratch`` is a uint64 array of the same shape whose contents are
+    overwritten; uint64 arithmetic wraps modulo 2**64 as the finalizer needs.
+    """
+    x += np.uint64(_GAMMA)
+    x ^= np.right_shift(x, np.uint64(30), out=scratch)
+    x *= np.uint64(_MIX1)
+    x ^= np.right_shift(x, np.uint64(27), out=scratch)
+    x *= np.uint64(_MIX2)
+    x ^= np.right_shift(x, np.uint64(31), out=scratch)
+    return x
+
+
 def _mix_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized SplitMix64 finalizer; input must already be uint64."""
-    x = x + np.uint64(_GAMMA)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_MIX1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_MIX2)
-    return x ^ (x >> np.uint64(31))
+    """Vectorized SplitMix64 finalizer into a new array; input must be uint64.
+
+    A 0-d input gives a numpy scalar, as numpy arithmetic on it would.
+    """
+    out = np.array(x, dtype=np.uint64)
+    return _mix_inplace(out, np.empty_like(out))[()]
 
 
 def mix64(*parts: int) -> int:
@@ -98,6 +122,52 @@ def uniform_grid(prefix: int, n_rows: int, n_cols: int) -> np.ndarray:
     rows = mix64_array(prefix, np.arange(n_rows, dtype=np.uint64))
     cols = _mix_array(np.arange(n_cols, dtype=np.uint64))
     return _to_unit(_mix_array(rows[:, None] ^ cols[None, :]))
+
+
+def row_blocks(n_rows: int, n_cols: int):
+    """Row slices covering range(n_rows), each of about ``BLOCK_ENTRIES``
+    entries of an (n_rows, n_cols) matrix and at least one row.
+
+    The one blocking of every row-block kernel in the package: a per-row
+    result does not depend on how many rows share its block.
+    """
+    step = max(1, BLOCK_ENTRIES // max(n_cols, 1))
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def bernoulli_grid(prefix: int, rows, means: np.ndarray, labels) -> np.ndarray:
+    """0/1 float64 matrix of Bernoulli draws addressed by (row id, column).
+
+    Entry (i, j) is 1.0 exactly when ``uniform_grid``'s uniform at
+    (``rows[i]``, j) under ``prefix`` is below ``means[labels[i], j]``; the
+    row ids need not be sorted, so a caller draws rows in any placed order.
+    ``means`` is a (k, n) array with entries in [0, 1].
+
+    The test is on integers: the uniform is ``(h >> 11) * 2**-53`` and
+    ``means * 2**53`` is exact, so ``u < mu`` holds exactly when
+    ``(h >> 11) < ceil(mu * 2**53)``.  Rows are hashed in place in
+    :func:`row_blocks`, in one uint64 buffer with one scratch buffer, and
+    each block's outcome is written straight into the result.
+    """
+    rows = np.asarray(rows, dtype=np.uint64)
+    labels = np.asarray(labels, dtype=np.intp)
+    means = np.asarray(means, dtype=np.float64)
+    n_cols = means.shape[1]
+    thresholds = np.ceil(means * 2.0**53).astype(np.uint64)
+    row_keys = mix64_array(prefix, rows)
+    col_keys = _mix_array(np.arange(n_cols, dtype=np.uint64))
+    out = np.empty((rows.size, n_cols))
+    blocks = list(row_blocks(rows.size, n_cols))
+    size = (blocks[0].stop if blocks else 0, n_cols)
+    hashes, scratch = np.empty(size, dtype=np.uint64), np.empty(size, dtype=np.uint64)
+    for block in blocks:
+        h, t = hashes[: block.stop - block.start], scratch[: block.stop - block.start]
+        np.bitwise_xor(row_keys[block, None], col_keys, out=h)
+        _mix_inplace(h, t)
+        h >>= np.uint64(11)
+        np.less(h, np.take(thresholds, labels[block], axis=0, out=t), out=out[block])
+    return out
 
 
 def permutation(key: int, n: int) -> np.ndarray:

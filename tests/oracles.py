@@ -6,14 +6,20 @@ can certify the optimized implementations.  The Jacobi eigensolver is the
 textbook loop the library's in-place version must match bit for bit, the
 Gram-Schmidt loop is the one the library's Householder QR replaced, and
 the k-means loop is the one the library's k-means must match bit for bit.
+The dense-path oracles keep the whole-matrix expressions that the library's
+block-wise kernels replaced: a float grid compared with the row means and
+then reordered, ``A - E`` with E in full, the ``np.where`` Matrix Market
+writer, the transposing reader and the full ``a * a`` row norms.
 """
 
 from itertools import permutations, product
+from pathlib import Path
 
 import numpy as np
 
 from specluster import rng
 from specluster.kmeans import KMeansResult
+from specluster.models import cluster_counts, expected_from_truth
 
 
 def exhaustive_kmeans_objective(points: np.ndarray, k: int) -> float:
@@ -219,3 +225,43 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
     labels = np.empty(m, dtype=np.int64)
     labels[order] = labels_c
     return KMeansResult(labels, c, obj, iters, trace, distinct < k)
+
+
+def sample_reference(model, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(matrix, truth)`` of ``sample``: the canonical block-ordered grid
+    of uniforms compared as floats with each row's means, then placed."""
+    truth_blocks = np.repeat(np.arange(model.k), cluster_counts(model, m))
+    perm = rng.permutation(rng.mix64(seed, rng.TAG_SAMPLE_ORDER, m), m)
+    grid = rng.uniform_grid(rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), m, model.n)
+    bits = (grid < model.means[truth_blocks]).astype(np.float64)
+    return bits[perm], truth_blocks[perm]
+
+
+def noise_reference(matrix, model, truth) -> np.ndarray:
+    """``A - E`` with the expectation matrix built in full."""
+    return matrix - expected_from_truth(model, truth)
+
+
+def matrix_market_bytes_reference(matrix) -> bytes:
+    """The writer's file bytes: ``np.where`` digits, header plus ``tobytes``."""
+    m, n = matrix.shape
+    lines = np.full((n, m, 2), ord("\n"), dtype=np.uint8)
+    lines[:, :, 0] = np.where(matrix.T == 1.0, ord("1"), ord("0"))
+    header = f"%%MatrixMarket matrix array integer general\n{m} {n}\n"
+    return header.encode() + lines.tobytes()
+
+
+def read_matrix_market_reference(path) -> np.ndarray:
+    """A dense Matrix Market file parsed line by line into a float (m*n, 1)
+    column, then transposed from column-major and copied."""
+    lines = Path(path).read_text().splitlines()[1:]
+    body = [line.split("%")[0] for line in lines if not line.lstrip().startswith("%")]
+    body = [line for line in body if line.strip()]
+    m, n = (int(tok) for tok in body[0].split())
+    values = np.array([float(line) for line in body[1:]]).reshape(m * n, 1)
+    return values.reshape((n, m)).T.copy()
+
+
+def sq_dists_reference(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Squared distances with the row norms of ``a`` from the full ``a * a``."""
+    return (a * a).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (a @ c.T)
