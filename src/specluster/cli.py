@@ -4,15 +4,27 @@ Machine-parseable JSON goes to stdout, human logs to stderr.  Exit codes:
 0 success, 1 runtime or convergence failure, 2 invalid input.  The default
 seed is 0; the SPECLUSTER_SEED environment variable overrides it, and an
 explicit --seed flag overrides both.
+
+:func:`run` is the process entry (``python -m specluster`` and the
+``specluster`` console script); :func:`main` is the one to call in-process.
+``run`` calls ``gc.freeze()`` after ``main`` returns and before the
+interpreter exits.  Finalization otherwise ends with a full garbage
+collection that walks every object of the numpy and scipy import graph:
+60–100 ms of each command at 2000×2000 on a 2-vCPU host.  The command
+needs none of it, since every file it writes is closed before ``main``
+returns, so nothing is left for that collection to finalize.  ``main`` does not freeze, because an in-process caller goes
+on using its heap, and a frozen heap is never collected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .analysis import condition_report, score
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
@@ -218,5 +230,13 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> NoReturn:
+    """Run :func:`main` on ``sys.argv`` and exit with its status, skipping the
+    exit-time collection of the heap (see the module docstring)."""
+    status = main()
+    gc.freeze()
+    sys.exit(status)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -18,7 +18,7 @@ import json
 import math
 import operator
 import warnings
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -231,22 +231,28 @@ def cluster_counts(model: MixtureModel, m: int) -> np.ndarray:
 
 @dataclass(eq=False)
 class BinaryDataset:
-    """An m x n 0/1 sample matrix with optional ground truth and provenance."""
+    """An m x n 0/1 sample matrix with optional ground truth and provenance.
+
+    ``matrix`` is checked to be finite and 0/1, except where this module
+    builds it as a 2-D float64 0/1 array: ``sample`` and the Matrix Market
+    reader's digit path pass ``_binary=True`` and skip the scan.
+    """
 
     matrix: np.ndarray
     truth: np.ndarray | None = None
     model: MixtureModel | None = None
     bsbm: BsbmParams | None = None
     seed: int | None = None
+    _binary: InitVar[bool] = False
 
-    def __post_init__(self):
-        matrix = as_matrix(self.matrix)
-        if not np.all((matrix == 0.0) | (matrix == 1.0)):
-            raise InvalidInputError("dataset entries must be exactly 0 or 1")
-        self.matrix = matrix
+    def __post_init__(self, _binary: bool):
+        if not _binary:
+            self.matrix = as_matrix(self.matrix)
+            if not np.all((self.matrix == 0.0) | (self.matrix == 1.0)):
+                raise InvalidInputError("dataset entries must be exactly 0 or 1")
         if self.truth is not None:
             truth = np.asarray(self.truth, dtype=np.int64)
-            if truth.shape != (matrix.shape[0],):
+            if truth.shape != (self.matrix.shape[0],):
                 raise InvalidInputError("truth must have one label per row")
             if truth.size and truth.min() < 0:
                 raise InvalidInputError("truth labels must be nonnegative")
@@ -287,7 +293,7 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
     matrix = rng.bernoulli_grid(
         rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), perm, model.means, truth
     )
-    return BinaryDataset(matrix=matrix, truth=truth, model=model, seed=seed)
+    return BinaryDataset(matrix=matrix, truth=truth, model=model, seed=seed, _binary=True)
 
 
 def expected_matrix(model: MixtureModel, m: int, seed: int) -> np.ndarray:
@@ -355,16 +361,18 @@ def write_matrix_market(path, matrix: np.ndarray) -> None:
         fh.write(lines)
 
 
-def _digit_lines(data: bytes, start: int, count: int) -> np.ndarray | None:
-    """The (count, 1) uint8 entries of ``data[start:]`` if it is exactly
-    ``count`` lines of one ASCII digit and a newline each, else None."""
+def _digit_lines(data: bytes, start: int, count: int) -> tuple[np.ndarray, bool] | None:
+    """The (count, 1) uint8 entries of ``data[start:]``, and whether all are
+    0 or 1, if it is exactly ``count`` lines of one ASCII digit and a
+    newline each, else None."""
     if count == 0 or len(data) - start != 2 * count:
         return None
     lines = np.frombuffer(data, dtype=np.uint8, offset=start).reshape(count, 2)
     digits = lines[:, 0] - np.uint8(ord("0"))  # bytes below "0" wrap to above 9
-    if not (np.all(lines[:, 1] == ord("\n")) and np.all(digits <= 9)):
+    top = int(digits.max())
+    if not (np.all(lines[:, 1] == ord("\n")) and top <= 9):
         return None
-    return digits.reshape(count, 1)
+    return digits.reshape(count, 1), top <= 1
 
 
 def read_matrix_market(path) -> np.ndarray:
@@ -382,6 +390,12 @@ def read_matrix_market(path) -> np.ndarray:
     real entries, goes to ``np.loadtxt``, which reads digit lines as the
     same values.
     """
+    return _read_matrix_market(path)[0]
+
+
+def _read_matrix_market(path) -> tuple[np.ndarray, bool]:
+    """:func:`read_matrix_market`'s matrix, and whether the digit path
+    found every entry to be 0 or 1 (False from ``np.loadtxt``)."""
     data = Path(path).read_bytes()
     # latin-1 decodes any byte, so a binary file fails the checks below.
     fh = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1")
@@ -403,12 +417,13 @@ def read_matrix_market(path) -> np.ndarray:
             f"{path}: size line must be two nonnegative integers 'm n', got {line.strip()!r}"
         )
     m, n = int(sizes[0]), int(sizes[1])
-    values = None
     # Text mode turns "\r" and "\r\n" into "\n"; without them in the lines
     # read so far, ``consumed`` characters are as many bytes.
-    if data.find(b"\r", 0, consumed) < 0:
-        values = _digit_lines(data, consumed, m * n)
-    if values is None:
+    fast = None if data.find(b"\r", 0, consumed) >= 0 else _digit_lines(data, consumed, m * n)
+    if fast is not None:
+        values, binary = fast
+    else:
+        binary = False
         try:
             with warnings.catch_warnings():
                 # An empty body is reported by the entry count below.
@@ -420,7 +435,7 @@ def read_matrix_market(path) -> np.ndarray:
         raise InvalidInputError(
             f"{path}: expected {m * n} entries, one per line, found {values.size}"
         )
-    return np.ascontiguousarray(values.reshape((n, m)).T, dtype=np.float64)
+    return np.ascontiguousarray(values.reshape((n, m)).T, dtype=np.float64), binary
 
 
 def _model_to_json(model: MixtureModel) -> dict:
@@ -576,7 +591,7 @@ def load_dataset(prefix) -> BinaryDataset:
     mtx_path, json_path = dataset_paths(prefix)
     if not mtx_path.exists():
         raise InvalidInputError(f"missing dataset file {mtx_path}")
-    matrix = read_matrix_market(mtx_path)
+    matrix, binary = _read_matrix_market(mtx_path)
     truth = model = bsbm = seed = None
     if json_path.exists():
         where = f"sidecar {json_path}"
@@ -588,4 +603,6 @@ def load_dataset(prefix) -> BinaryDataset:
             model = mixture_from_spec(sidecar["model"], f"{where} model")
         if sidecar.get("bsbm") is not None:
             bsbm = bsbm_from_spec(sidecar["bsbm"], f"{where} bsbm")
-    return BinaryDataset(matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed)
+    return BinaryDataset(
+        matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed, _binary=binary
+    )

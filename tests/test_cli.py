@@ -550,3 +550,75 @@ class TestRoundTrip:
 
         save_dataset(ds, tmp_path / "again")
         assert (tmp_path / "again.mtx").read_bytes() == (tmp_path / "cycle.mtx").read_bytes()
+
+
+class TestEntry:
+    """``python -m specluster`` and the console script go through ``cli.run``,
+    which freezes the heap before exit; ``main`` is the in-process entry."""
+
+    BIG = "m=80,n=80,k=2,p=0.4,q=0.1"  # above the LAPACK cutover: ARPACK runs
+
+    def commands(self, spec_path):
+        return [
+            ["generate", "--bsbm", self.BIG, "--seed", "4", "--out", "data"],
+            ["cluster", "--data", "data", "--k", "2", "--seed", "4", "--out", "labels.json",
+             "--diagnostics"],
+            ["check", "--data", "data"],
+            ["sweep", "--spec", str(spec_path), "--out", "sweep", "--trial-log",
+             "--workers", "2"],
+        ]
+
+    def test_commands_leave_no_unclosed_file(self, tmp_path, monkeypatch):
+        # run() freezes the heap instead of collecting it at exit, which is
+        # safe only if no command leaves a file for the collector to close.
+        import gc
+
+        from specluster.cli import main
+
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        monkeypatch.chdir(tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            for argv in self.commands(TestSweep().spec_file(tmp_path, trials=2)):
+                assert main(argv) == 0, argv
+            gc.collect()
+        assert [str(u.exc_value) for u in unraisable] == []
+
+    def test_module_entry_matches_in_process_main(self, tmp_path, monkeypatch, capsys):
+        from specluster.cli import main
+
+        spec = TestSweep().spec_file(tmp_path, trials=2)
+        child, here = tmp_path / "child", tmp_path / "here"
+        child.mkdir()
+        here.mkdir()
+        monkeypatch.chdir(here)
+        failing = [
+            ["check", "--data", "missing"],  # InvalidInputError: main returns 2
+            ["cluster", "--data", "data"],  # argparse: main raises SystemExit(2)
+        ]
+        for argv in self.commands(spec) + failing:
+            proc = run_cli(*argv, cwd=child)
+            try:
+                status = main(argv)
+            except SystemExit as exc:
+                status = exc.code
+            assert proc.returncode == status == (0 if argv not in failing else 2), argv
+            assert proc.stdout == capsys.readouterr().out, argv
+        names = sorted(p.name for p in here.iterdir())
+        assert names == sorted(p.name for p in child.iterdir())
+        assert names == [
+            "data.json", "data.mtx", "labels.json", "sweep.csv", "sweep.jsonl"
+        ]
+        for name in names:
+            assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+    def test_console_script_is_run(self):
+        from pathlib import Path
+
+        from specluster.cli import run
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = pyproject.read_text().split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+        assert scripts.strip().splitlines() == ['specluster = "specluster.cli:run"']
+        assert callable(run)

@@ -15,6 +15,7 @@ from specluster import (
     frobenius_norm,
     jacobi_svd,
     match_center_sets,
+    noise_matrix,
     sample,
     spectral_norm,
     truncated_svd,
@@ -174,6 +175,62 @@ class TestNorms:
             spec, frob = spectral_norm(a), frobenius_norm(a)
             assert spec <= frob + 1e-9
             assert frob <= np.sqrt(min(m, n)) * spec + 1e-9
+
+    @pytest.mark.parametrize(
+        "m, n, k, p, seed",
+        [(400, 400, 2, 0.2, 0), (400, 400, 4, 0.45, 1), (2000, 300, 3, 0.3, 2)],
+    )
+    def test_spectral_noise_matches_lapack(self, m, n, k, p, seed):
+        # ARPACK stops at a residual of 1e-8; on A - E the top value lies
+        # well apart from the next, so its error is still at rounding level.
+        model = bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, 0.05))
+        ds = sample(model, m, seed)
+        noise = noise_matrix(ds.matrix, model, ds.truth)
+        ref = np.linalg.norm(noise, 2)
+        assert abs(spectral_norm(noise) - ref) <= 1e-13 * ref
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_spectral_near_degenerate_within_documented_bound(self, seed):
+        # sigma_2 / sigma_1 = 1 - 1e-8: below the stopping residual, ARPACK
+        # cannot tell the two apart, and the docstring bounds the relative
+        # error by about the gap, 1e-8 (rounding adds ~1e-15).
+        rs = np.random.RandomState(seed)
+        u, _ = np.linalg.qr(rs.randn(200, 150))
+        v, _ = np.linalg.qr(rs.randn(150, 150))
+        s = np.sort(rs.uniform(0.0, 0.9, 150))[::-1]
+        s[0], s[1] = 1.0, 1.0 - 1e-8
+        a = (u * s) @ v.T
+        ref = np.linalg.norm(a, 2)
+        assert abs(spectral_norm(a) - ref) <= 1e-8 * ref + 1e-14
+
+    def test_spectral_product_count(self, monkeypatch):
+        # Stopping at a residual of 1e-8 instead of machine precision takes
+        # 103 A.x and A^T.y products on this matrix, where tol=0 took 143;
+        # counts move in whole restarts of 20.
+        from scipy.sparse.linalg import LinearOperator
+
+        real_svds = linalg.svds
+        products = []
+
+        def counting_svds(a, **kwargs):
+            def matvec(x):
+                products.append("A")
+                return a @ x
+
+            def rmatvec(y):
+                products.append("At")
+                return a.T @ y
+
+            op = LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=a.dtype)
+            return real_svds(op, **kwargs)
+
+        monkeypatch.setattr(linalg, "svds", counting_svds)
+        model = bsbm_to_mixture(BsbmParams.balanced(400, 400, 2, 0.2, 0.05))
+        ds = sample(model, 400, 1)
+        noise = noise_matrix(ds.matrix, model, ds.truth)
+        got = spectral_norm(noise)
+        assert abs(got - np.linalg.norm(noise, 2)) <= 1e-13 * got
+        assert 0 < len(products) <= 123
 
     def test_spectral_arpack_failure_is_convergence_error(self):
         with pytest.raises(ConvergenceError):

@@ -397,3 +397,42 @@ class TestMatrixMarketGrammar:
 def test_dataset_rejects_non_binary():
     with pytest.raises(InvalidInputError):
         BinaryDataset(np.array([[0.0, 0.5]]))
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("nan", "matrix contains non-finite entries"),
+        ("inf", "matrix contains non-finite entries"),
+        ("0.5", "dataset entries must be exactly 0 or 1"),
+        ("2", "dataset entries must be exactly 0 or 1"),  # a digit: the fast path
+    ],
+)
+def test_dataset_validation_messages(tmp_path, entry, message):
+    with pytest.raises(InvalidInputError, match=message):
+        BinaryDataset(np.array([[0.0, 1.0], [1.0, float(entry)]]))
+    body = "".join(f"{value}\n" for value in ("0", "1", "1", entry))
+    (tmp_path / "d.mtx").write_text(f"%%MatrixMarket matrix array real general\n2 2\n{body}")
+    with pytest.raises(InvalidInputError, match=message):
+        load_dataset(tmp_path / "d")
+
+
+def test_sample_and_digit_path_skip_the_binary_scan(tmp_path, monkeypatch):
+    # Both build a float64 0/1 matrix themselves, so neither rescans it.
+    from specluster import models
+
+    model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
+    save_dataset(sample(model, 40, 0), tmp_path / "d")
+    shapes = []
+    real_as_matrix = models.as_matrix
+
+    def recording_as_matrix(a, *args):
+        shapes.append(np.shape(a))
+        return real_as_matrix(a, *args)
+
+    monkeypatch.setattr(models, "as_matrix", recording_as_matrix)
+    drawn, loaded = sample(model, 40, 0), load_dataset(tmp_path / "d")
+    assert (40, 30) not in shapes
+    for ds in (drawn, loaded):
+        assert ds.matrix.dtype == np.float64 and ds.matrix.flags.c_contiguous
+    assert np.array_equal(drawn.matrix, loaded.matrix)
