@@ -12,8 +12,9 @@ interpreter exits.  Finalization otherwise ends with a full garbage
 collection that walks every object of the numpy and scipy import graph:
 60–100 ms of each command at 2000×2000 on a 2-vCPU host.  The command
 needs none of it, since every file it writes is closed before ``main``
-returns, so nothing is left for that collection to finalize.  ``main`` does not freeze, because an in-process caller goes
-on using its heap, and a frozen heap is never collected.
+returns, so nothing is left for that collection to finalize.  ``main``
+does not freeze, because an in-process caller goes on using its heap, and
+a frozen heap is never collected.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ def _parse_kv(text: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise InvalidInputError(f"expected key=value, got {item!r}")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise InvalidInputError(f"repeated key {key!r}")
+        out[key] = value.strip()
     return out
 
 

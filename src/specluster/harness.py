@@ -158,14 +158,8 @@ def cell_index(params: dict) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def derive(base_seed, cell, trial):
-    """Collision-resistant 63-bit trial seed from (base_seed, cell, trial).
-
-    Accepts plain integers or numpy arrays (broadcast elementwise).
-    """
-    if any(isinstance(x, np.ndarray) for x in (base_seed, cell, trial)):
-        mixed = rng.mix64_parts(rng.TAG_TRIAL, base_seed, cell, trial)
-        return (mixed & np.uint64((1 << 63) - 1)).astype(np.int64)
+def derive(base_seed: int, cell: int, trial: int) -> int:
+    """Collision-resistant 63-bit trial seed from the integers (base_seed, cell, trial)."""
     return rng.mix64(rng.TAG_TRIAL, base_seed, cell, trial) & ((1 << 63) - 1)
 
 
@@ -403,15 +397,17 @@ def _csv_value(value) -> str:
 
 def write_csv(result: SweepResult, path) -> None:
     """One row per cell; column set and order given by :func:`csv_columns`."""
-    param_names = sorted(set(result.spec.fixed) | set(result.spec.axes))
-    diag_names = [column for column, _, _ in _diag_columns(result.spec)]
+    columns = csv_columns(result.spec)
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(csv_columns(result.spec))
+        writer.writerow(columns)
         for cell in result.cells:
-            values = [cell.parameters[name] for name in param_names]
+            # Every parameter name is a key of each cell's parameters, so the
+            # columns split by position, whatever the names.
+            n_params = len(cell.parameters)
+            values = [cell.parameters[name] for name in columns[:n_params]]
             values += [cell.trials, cell.exact_count, cell.mean_accuracy]
-            values += [cell.diagnostics[name] for name in diag_names]
+            values += [cell.diagnostics[name] for name in columns[n_params + len(_BASE_COLUMNS) :]]
             writer.writerow([_csv_value(v) for v in values])
 
 

@@ -15,8 +15,8 @@ from . import rng
 from .errors import InvalidInputError
 from .linalg import as_count, as_int, as_matrix, sq_dists
 
-DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
+RESTARTS = 10
+MAX_ITER = 300  # Lloyd iterations per restart
 
 
 @dataclass(eq=False)
@@ -103,13 +103,13 @@ def _fix_empty(x, labels, c, d):
     return labels, c
 
 
-def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray, max_iter: int):
+def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray):
     k = c0.shape[0]
     c = c0.copy()
     labels = None
     trace: list[float] = []
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         d = _pairwise_sq(x, c, x_sq)
         new_labels = np.argmin(d, axis=1)
@@ -123,14 +123,9 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray, max_iter: int):
     return labels, c, trace[-1], iterations, tuple(trace)
 
 
-def kmeans(
-    rows,
-    k: int,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    seed: int = 0,
-) -> KMeansResult:
-    """Best of ``restarts`` independent k-means++ runs of Lloyd's algorithm.
+def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
+    """Best of ``RESTARTS`` independent k-means++ runs of Lloyd's algorithm,
+    each of at most ``MAX_ITER`` iterations.
 
     Deterministic given ``seed``: restart j draws from its own counter
     stream keyed by (seed, j).  Nearest-centroid ties break toward the
@@ -144,8 +139,6 @@ def kmeans(
     k = as_count(k, "k", 1)
     if k > m:
         raise InvalidInputError(f"k={k} exceeds number of rows {m}")
-    restarts = as_count(restarts, "restarts", 1)
-    max_iter = as_count(max_iter, "max_iter", 1)
     seed = as_int(seed, "seed")
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
@@ -158,10 +151,10 @@ def kmeans(
     xc_sq = np.sum(xc * xc, axis=1)
 
     best = None
-    for j in range(restarts):
+    for j in range(RESTARTS):
         stream = rng.Stream(seed, rng.TAG_KMEANS, j)
         c0 = _plus_plus_init(xc, xc_sq, k, stream)
-        labels_c, c, obj, iters, trace = _lloyd(xc, xc_sq, c0, max_iter)
+        labels_c, c, obj, iters, trace = _lloyd(xc, xc_sq, c0)
         if best is None or obj < best[0]:
             best = (obj, labels_c, c, iters, trace)
 

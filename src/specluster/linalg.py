@@ -36,8 +36,8 @@ from . import rng
 from .errors import ConvergenceError, InvalidInputError
 
 JACOBI_CUTOVER = 64
-DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 10_000
+TOL = 1e-8  # relative residual at which subspace iteration stops
+MAX_ITER = 10_000  # subspace iterations, and ARPACK restarts in spectral_norm
 
 _OVERSAMPLE = 8
 _CHECK_EVERY = 8
@@ -238,11 +238,13 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _orthonormal_columns(u), s, v
 
 
-def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int):
+def _subspace_svd(a: np.ndarray, k: int):
     """``(u, s, v)`` of block power iteration with Rayleigh-Ritz extraction.
 
     The Ritz step is ``jacobi_svd(a @ v)``: its left factor and singular
     values are the Ritz triplets, and its right factor rotates ``v``.
+    Stops at a relative residual of ``TOL``, or raises
+    :class:`ConvergenceError` after ``MAX_ITER`` iterations.
     """
     m, n = a.shape
     b = min(k + _OVERSAMPLE, m, n)
@@ -251,9 +253,9 @@ def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int):
         2.0 * rng.uniform_grid(init_key, n, b) - 1.0
     )
     last_residual = np.inf
-    root_tol = np.sqrt(tol)
-    for it in range(max_iter + 1):
-        if it % _CHECK_EVERY == 0 or it == max_iter:
+    root_tol = np.sqrt(TOL)
+    for it in range(MAX_ITER + 1):
+        if it % _CHECK_EVERY == 0 or it == MAX_ITER:
             u_r, s, q = jacobi_svd(a @ v)
             v_r = _orthonormal_columns(v @ q)
             # a @ v_r == s * u_r by construction, so the informative
@@ -262,7 +264,7 @@ def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int):
             resid_norms = np.sqrt(np.sum(resid * resid, axis=0))
             last_residual = float(resid_norms.max())
             scale = max(float(s[0]), 1e-300)
-            strict = resid_norms <= tol * scale
+            strict = resid_norms <= TOL * scale
             done = bool(np.all(strict))
             if not done and b > k:
                 # Singular values tied at the cut position keep their Ritz
@@ -277,23 +279,17 @@ def _subspace_svd(a: np.ndarray, k: int, tol: float, max_iter: int):
             if done:
                 return u_r, s, v_r
             v = v_r
-        if it == max_iter:
+        if it == MAX_ITER:
             break
         u = _orthonormal_columns(a @ v)
         v = _orthonormal_columns(a.T @ u)
     raise ConvergenceError(
-        f"subspace iteration did not reach tol={tol} in {max_iter} iterations "
+        f"subspace iteration did not reach tol={TOL} in {MAX_ITER} iterations "
         f"(last residual {last_residual:.3e})"
     )
 
 
-def truncated_svd(
-    a,
-    k: int,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    method: str = "auto",
-) -> RankKApprox:
+def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     """Best rank-k approximation of ``a`` as a :class:`RankKApprox`.
 
     Parameters
@@ -302,20 +298,15 @@ def truncated_svd(
         Dense real matrix, shape (m, n).
     k : int
         Target rank, 1 <= k <= min(m, n).
-    tol : float
-        Relative residual tolerance for the iterative path; positive.
-    max_iter : int
-        Iteration budget (>= 0); exceeding it raises :class:`ConvergenceError`
-        rather than silently returning an unconverged answer.
     method : str
-        "auto" (Jacobi when min(m, n) <= JACOBI_CUTOVER, else subspace
-        iteration re-orthonormalized by Householder QR), or force "jacobi" /
-        "subspace".  A forced "jacobi" runs :func:`jacobi_svd` at any size,
-        and its time grows about as the cube of min(m, n): 0.38 s at 64 x 64
-        but 19.6 s at 400 x 400 (one BLAS thread).
+        "auto" (:func:`jacobi_svd` when min(m, n) <= JACOBI_CUTOVER, else
+        subspace iteration re-orthonormalized by Householder QR), or
+        "subspace" to force subspace iteration at any size.
 
     The result is deterministic: subspace iteration starts from a basis
-    derived from a fixed internal key, not from global random state.
+    derived from a fixed internal key, not from global random state.  If it
+    has not converged after ``MAX_ITER`` iterations, it raises
+    :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -324,15 +315,10 @@ def truncated_svd(
     k = as_count(k, "k", 1)
     if k > min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
-    if not tol > 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    max_iter = as_count(max_iter, "max_iter", 0)
-    if method == "auto":
-        method = "jacobi" if min(m, n) <= JACOBI_CUTOVER else "subspace"
-    if method == "jacobi":
+    if method == "auto" and min(m, n) <= JACOBI_CUTOVER:
         u, s, v = jacobi_svd(a)
-    elif method == "subspace":
-        u, s, v = _subspace_svd(a, k, tol, max_iter)
+    elif method in ("auto", "subspace"):
+        u, s, v = _subspace_svd(a, k)
     else:
         raise InvalidInputError(f"unknown SVD method {method!r}")
     return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
@@ -371,7 +357,7 @@ def linear_sum_assignment(cost):
     return scipy_lsa(cost)
 
 
-def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
+def spectral_norm(a) -> float:
     """Largest singular value of ``a``.
 
     When min(m, n) <= 64 this is LAPACK's full SVD (``np.linalg.norm(a, 2)``).
@@ -388,13 +374,12 @@ def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
     matrices) and 173 instead of 263 at 2000×2000 (medians of 4).
 
     An all-zero input returns 0.0.  ARPACK failures, including running out
-    of its ``max_iter`` restarts, raise :class:`ConvergenceError`.
+    of its ``MAX_ITER`` restarts, raise :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
-    max_iter = as_count(max_iter, "max_iter", 1)
     if min(m, n) <= JACOBI_CUTOVER:
         return float(np.linalg.norm(a, 2))
     if not a.any():
@@ -405,7 +390,7 @@ def spectral_norm(a, max_iter: int = DEFAULT_MAX_ITER) -> float:
     from scipy.sparse.linalg import ArpackError
 
     try:
-        top = svds(a, k=1, tol=_NORM_TOL, v0=v0, maxiter=max_iter, return_singular_vectors=False)
+        top = svds(a, k=1, tol=_NORM_TOL, v0=v0, maxiter=MAX_ITER, return_singular_vectors=False)
     except ArpackError as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc
     return float(top[0])

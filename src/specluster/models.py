@@ -596,7 +596,8 @@ def load_dataset(prefix) -> BinaryDataset:
     if json_path.exists():
         where = f"sidecar {json_path}"
         sidecar = _json_object(read_json(json_path, "sidecar"), where)
-        seed = sidecar.get("seed")
+        if sidecar.get("seed") is not None:
+            seed = spec_value(sidecar, "seed", strict_int, where)
         if sidecar.get("truth") is not None:
             truth = spec_value(sidecar, "truth", _int_array, where)
         if sidecar.get("model") is not None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .kmeans import DEFAULT_RESTARTS, KMeansResult, kmeans
+from .kmeans import KMeansResult, kmeans
 from .linalg import RankKApprox, as_int, as_matrix, match_center_sets, sq_dists, truncated_svd
 
 
@@ -89,7 +89,7 @@ def find_centers_detailed(matrix, k: int, seed: int) -> CentersDetail:
     # map is an isometry on the row space, so k-means sees identical
     # geometry in k dimensions instead of n.
     embedded = approx.left_vectors * approx.singular_values
-    km = kmeans(embedded, k, restarts=DEFAULT_RESTARTS, seed=seed)
+    km = kmeans(embedded, k, seed=seed)
     sizes = np.bincount(km.labels, minlength=k)
     centers = np.empty((k, n))
     for r in range(k):

@@ -87,21 +87,6 @@ def mix64_array(prefix: int, values: np.ndarray) -> np.ndarray:
     return _mix_array(np.uint64(prefix & _MASK) ^ _mix_array(v))
 
 
-def mix64_parts(*parts) -> np.ndarray:
-    """``mix64`` generalized to numpy inputs, broadcasting over array parts.
-
-    Scalar integers and uint64-convertible arrays may be mixed freely; the
-    result has the broadcast shape and agrees elementwise with the scalar
-    chain.
-    """
-    arrays = [np.asarray(p).astype(np.uint64, copy=False) for p in parts]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    h = np.full(shape, _CHAIN_INIT, dtype=np.uint64)
-    for a in arrays:
-        h = _mix_array(h ^ _mix_array(np.broadcast_to(a, shape)))
-    return h
-
-
 def _to_unit(h: np.ndarray) -> np.ndarray:
     """Map uint64 hashes to float64 in [0, 1) using the top 53 bits."""
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

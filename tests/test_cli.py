@@ -77,6 +77,7 @@ class TestGenerate:
             ("m=10,n=8,k=2,p=0.4,q=inf", "p and q must lie in [0, 0.5]"),
             ("m=10,n=8,k=2,p=0.4,q=0.1,x=3", "--bsbm: unknown key 'x'"),
             ("m=10,n=8,k=2,p=0.4,q=0.1,left_sizes=55", "--bsbm: unknown key 'left_sizes'"),
+            ("m=40,n=30,k=2,p=0.4,q=0.1,m=60", "repeated key 'm'"),
         ]:
             assert main(["generate", "--bsbm", inline, "--out", str(tmp_path / "y")]) == 2
             assert message in capsys.readouterr().err
@@ -285,6 +286,8 @@ class TestCheck:
             ({"model": [1, 2]}, "model must hold a JSON object, got list"),
             ({"bsbm": bsbm}, "bsbm: missing 'q'"),
             ({"truth": [0.5] * 16}, "bad value for 'truth'"),
+            ({"seed": "not a seed"}, "bad value for 'seed'"),
+            ({"seed": 2.5}, "bad value for 'seed'"),
         ]:
             (tmp_path / "noiseless.json").write_text(json.dumps({**sidecar, **update}))
             for command in (["check"], ["cluster", "--k", "2", "--out", str(tmp_path / "l")]):

@@ -285,6 +285,20 @@ class TestSerialization:
         with pytest.raises(InvalidInputError):
             load_dataset(prefix)
 
+    def test_sidecar_seed_is_an_integer_or_null(self, tmp_path):
+        model = bsbm_to_mixture(BsbmParams.balanced(8, 5, 2, 0.4, 0.1))
+        prefix = tmp_path / "s"
+        _, json_path = save_dataset(sample(model, 8, 7), prefix)
+        assert load_dataset(prefix).seed == 7
+        sidecar = json.loads(json_path.read_text())
+        for seed, expected in [(None, None), (-3, -3), (7.0, 7)]:
+            json_path.write_text(json.dumps({**sidecar, "seed": seed}))
+            assert load_dataset(prefix).seed == expected
+        for seed in ["not a seed", 2.5, True, [7]]:
+            json_path.write_text(json.dumps({**sidecar, "seed": seed}))
+            with pytest.raises(InvalidInputError, match="bad value for 'seed'"):
+                load_dataset(prefix)
+
 
 MTX_HEADER = "%%MatrixMarket matrix array integer general\n"
 
