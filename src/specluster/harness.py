@@ -11,12 +11,10 @@ with a deterministic reduction.
 from __future__ import annotations
 
 import csv
-import ctypes
 import hashlib
 import itertools
 import json
 import multiprocessing
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -32,8 +30,10 @@ from .analysis import (
     score,
 )
 from .errors import InvalidInputError
-from .linalg import as_count, as_int, import_scipy, spectral_norm
+from .linalg import _one_thread, _usable_cpus, as_count, as_int, import_scipy, spectral_norm
 from .models import (
+    BSBM_KEYS,
+    MIXTURE_KEYS,
     BinaryDataset,
     bsbm_from_spec,
     bsbm_to_mixture,
@@ -164,12 +164,19 @@ def derive(base_seed: int, cell: int, trial: int) -> int:
 
 
 def build_cell(family: str, params: dict):
-    """Validate one cell and return (model, m, k, bsbm-or-None)."""
+    """Validate one cell and return (model, m, k, bsbm-or-None).
+
+    A cell takes only its family's keys, as a model file does, so a typo
+    or a parameter named like a CSV column raises InvalidInputError once
+    the values are checked.
+    """
     where = f"cell {params}"
     if family == "bsbm":
         bsbm = bsbm_from_spec(params, where)
+        check_keys(params, BSBM_KEYS, where)
         return bsbm_to_mixture(bsbm), bsbm.m, bsbm.k, bsbm
     model = mixture_from_spec(params, where)
+    check_keys(params, ("m", *MIXTURE_KEYS), where)
     return model, spec_value(params, "m", strict_int, where), model.k, None
 
 
@@ -285,50 +292,6 @@ def _aggregate(spec: SweepSpec, params: dict, records: list[TrialRecord]) -> Cel
     )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (the affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Thread-count setters exported by OpenBLAS builds: plain, 64-bit-integer
-# and the scipy-openblas wheels' prefixed variants.
-_OPENBLAS_SETTERS = (
-    "openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "scipy_openblas_set_num_threads64_",
-)
-
-
-def _one_blas_thread() -> None:
-    """Limit every OpenBLAS loaded in this process to one thread.
-
-    Runs in each pool worker: the workers already fill the CPUs, and BLAS
-    threads on top of them oversubscribe the CPUs.  numpy and scipy may each
-    bundle their own OpenBLAS, so every loaded copy is set.  The libraries
-    are found in ``/proc/self/maps``; where it is absent this does nothing.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            fields = (line.split(maxsplit=5) for line in maps)
-            paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:  # e.g. a library file deleted since it was loaded
-            continue
-        for name in _OPENBLAS_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-
-
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (cell, trial) and aggregate per cell.
 
@@ -349,7 +312,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     threads running should pass ``workers=1``: a lock one of them holds at
     the fork stays held in the workers, and Python 3.12+ warns.  OpenBLAS
     stops its own thread pool before a fork, so unpinned BLAS threads are
-    safe; each worker then runs OpenBLAS on one thread.
+    safe; each worker then runs OpenBLAS and ``spectral_norm`` on one thread.
     """
     if workers is not None:
         workers = as_count(workers, "workers", 1)
@@ -362,7 +325,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
         import_scipy()
         pool = ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_blas_thread
+            workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_thread
         )
         try:
             records = tuple(

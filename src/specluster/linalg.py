@@ -16,18 +16,28 @@ runs on LAPACK for small inputs and ARPACK for the top singular value of
 large ones.  ARPACK stops at a relative residual of 1e-8 on AᵀA, not at
 machine precision: σ₁'s relative error is about that residual squared
 over the relative gap, at worst about 1e-8.  On B-SBM noise it was within
-3e-15 of LAPACK, with 103 instead of 143 products per call at 400×400 and
-173 instead of 263 at 2000×2000 (see ``spectral_norm``).
+3e-15 of LAPACK at 400×400 and 6.2e-15 at 2000×2000, with 103 instead of
+143 products per call at 400×400 and 173 instead of 263 at 2000×2000 (see
+``spectral_norm``).  An input of more
+than one row block of ``_GRAM_BLOCK`` (2²⁰) entries, in its taller
+orientation, computes each Gram product AᵀA·x block by block on every
+usable CPU and sums the blocks in order, so its bytes do not depend on the
+CPU, thread or BLAS thread count.
 
 This is the only module that uses scipy, and it imports scipy on first use:
 the SVD loads ``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg``
-and the assignment solver ``scipy.optimize``.
+and the assignment solver ``scipy.optimize``.  ``concurrent.futures`` is
+imported only by a multi-block ``spectral_norm``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import functools
+import itertools
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +52,10 @@ MAX_ITER = 10_000  # subspace iterations, and ARPACK restarts in spectral_norm
 _OVERSAMPLE = 8
 _CHECK_EVERY = 8
 _NORM_TOL = 1e-4  # svds squares it: ARPACK stops at a relative residual of 1e-8
+_GRAM_BLOCK = 1 << 20  # entries per row block of spectral_norm's Gram product
+# Threads of a multi-block spectral_norm; None is one per usable CPU.
+# Forked sweep workers set 1 (see ``_one_thread``).
+_norm_threads: int | None = None
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -357,21 +371,143 @@ def linear_sum_assignment(cost):
     return scipy_lsa(cost)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (the affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _openblas_thread_controls() -> list:
+    """``(get, set)`` thread-count functions of every OpenBLAS in this process.
+
+    numpy and scipy may each bundle their own OpenBLAS, so there may be
+    several.  A library exports them plain, with a 64-bit-integer suffix, or
+    with the scipy-openblas wheels' prefix.  The libraries are found in
+    ``/proc/self/maps``; where it is absent the list is empty.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            fields = (line.split(maxsplit=5) for line in maps)
+            paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a library file deleted since it was loaded
+            continue
+        for prefix, suffix in itertools.product(("", "scipy_"), ("", "64_")):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+    return controls
+
+
+def _one_thread() -> None:
+    """Run every loaded OpenBLAS, and ``spectral_norm``, on one thread.
+
+    The initializer of the sweep's forked workers: the workers already fill
+    the CPUs, and threads on top of them oversubscribe the CPUs.
+    """
+    global _norm_threads
+    _norm_threads = 1
+    for _, set_threads in _openblas_thread_controls():
+        set_threads(1)
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run every loaded OpenBLAS on one thread inside the block, then restore
+    each thread count."""
+    saved = [(set_threads, get()) for get, set_threads in _openblas_thread_controls()]
+    for set_threads, _ in saved:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for set_threads, count in saved:
+            set_threads(count)
+
+
+def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
+    """``svds``'s top singular value of ``tall`` (m >= n), with each Gram
+    product summed over the row blocks ``blocks``.
+
+    This is ``svds``'s ARPACK path with its own arguments: ``eigsh`` on the
+    Gram operator at ``tol=_NORM_TOL**2``, then the QR of the Ritz vector
+    and ``svd(A·v)``.  Block b computes ``A_bᵀ(A_b·x)`` into slot b, and the
+    slots are summed in block order.  The calling thread and a pool of
+    ``threads - 1`` more, which lives only for the call, take blocks
+    t, t + threads, ...  Every OpenBLAS found in ``/proc/self/maps`` runs on
+    one thread meanwhile, so the bytes depend on the blocks alone.
+    """
+    from scipy.linalg import svd
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    n = tall.shape[1]
+    threads = min(len(blocks), _norm_threads or _usable_cpus())
+    slots = np.empty((len(blocks), n))
+
+    def products(first: int, x: np.ndarray) -> None:
+        for b in range(first, len(blocks), threads):
+            np.matmul(blocks[b].T, blocks[b] @ x, out=slots[b])
+
+    def gram(x: np.ndarray) -> np.ndarray:
+        others = [pool.submit(products, t, x) for t in range(1, threads)]
+        products(0, x)
+        for other in others:
+            other.result()
+        total = slots[0].copy()
+        for slot in slots[1:]:
+            total += slot
+        return total
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    # One thread submits nothing, so its pool starts no thread.
+    with _blas_on_one_thread(), ThreadPoolExecutor(max(threads - 1, 1)) as pool:
+        op = LinearOperator((n, n), matvec=gram, dtype=np.float64)
+        _, vec = eigsh(op, k=1, tol=_NORM_TOL**2, maxiter=MAX_ITER, v0=v0)
+        vec, _ = np.linalg.qr(vec)
+        return float(svd(tall @ vec, compute_uv=False, overwrite_a=True)[0])
+
+
 def spectral_norm(a) -> float:
     """Largest singular value of ``a``.
 
     When min(m, n) <= 64 this is LAPACK's full SVD (``np.linalg.norm(a, 2)``).
-    Larger inputs go to ARPACK through ``scipy.sparse.linalg.svds``, which
-    runs Lanczos on the Gram operator AᵀA for the top value alone, from a
-    start vector derived from a fixed internal key rather than global
-    random state.  ``svds`` squares its ``tol``, so ``_NORM_TOL`` = 1e-4
-    stops ARPACK at a relative residual of 1e-8 on AᵀA.  σ₁'s relative
-    error is then about 1e-16 over the relative gap (σ₁² − σ₂²)/σ₁², and at
-    most that gap when it is below 1e-8, where ARPACK cannot tell σ₁ from
-    σ₂: at worst about 1e-8.  On B-SBM noise matrices A − E it was within
-    3e-15 of ``np.linalg.norm(a, 2)`` (3.1e-15 at ``tol=0``), with 103 A·x
-    and Aᵀ·y products per call instead of 143 at 400×400 (medians of 20
-    matrices) and 173 instead of 263 at 2000×2000 (medians of 4).
+    Larger inputs go to ARPACK, which runs Lanczos on the Gram operator AᵀA
+    (AAᵀ for a wide input) for the top value alone, from a start vector
+    derived from a fixed internal key rather than global random state.
+    ``svds`` squares its ``tol``, so ``_NORM_TOL`` = 1e-4 stops ARPACK at a
+    relative residual of 1e-8 on the Gram operator.  σ₁'s relative error is
+    then about 1e-16 over the relative gap (σ₁² − σ₂²)/σ₁², and at most that
+    gap when it is below 1e-8, where ARPACK cannot tell σ₁ from σ₂: at worst
+    about 1e-8.  On B-SBM noise matrices A − E it was within 3e-15 of
+    ``np.linalg.norm(a, 2)`` at 400×400 (3.1e-15 at ``tol=0``) and within
+    6.2e-15 at 2000×2000 (16 matrices), with 103 A·x and Aᵀ·y products per
+    call instead of 143 at 400×400 (medians of 20 matrices) and 173 instead
+    of 263 at 2000×2000 (medians of 4).
+
+    The arithmetic depends on the shape alone.  The input, in its taller
+    orientation, is cut into row blocks of about ``_GRAM_BLOCK`` (2²⁰)
+    entries by :func:`rng.row_blocks`.  An input of one block, such as
+    400×400 or 2000×300, is ``scipy.sparse.linalg.svds(a, k=1, ...)``.  An
+    input of more blocks, such as 2000×2000 (four), runs ``svds``'s ARPACK
+    path with the Gram product fused by blocks (``_blocked_norm``) on
+    min(blocks, usable CPUs) threads, one BLAS thread each.  Its bytes do
+    not depend on the CPU, thread or BLAS thread count; they may differ
+    from the whole-matrix ``svds`` in the last digits: by at most 4.4e-16
+    relative over the 16 2000×2000 datasets of the ``cli`` bench.  Forked
+    sweep workers run it on one thread.  At 2000×2000 with 2 CPUs and one
+    BLAS thread it took 0.13 s instead of 0.22 s, and the ``generate`` and
+    ``check`` commands 0.47 and 0.44 s instead of 0.55 and 0.52 s.
 
     An all-zero input returns 0.0.  ARPACK failures, including running out
     of its ``MAX_ITER`` restarts, raise :class:`ConvergenceError`.
@@ -387,9 +523,13 @@ def spectral_norm(a) -> float:
         return 0.0
     v0_key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
     v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
+    tall = a if m >= n else a.T
+    blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
     from scipy.sparse.linalg import ArpackError
 
     try:
+        if len(blocks) > 1:
+            return _blocked_norm(tall, blocks, v0)
         top = svds(a, k=1, tol=_NORM_TOL, v0=v0, maxiter=MAX_ITER, return_singular_vectors=False)
     except ArpackError as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc

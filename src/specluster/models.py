@@ -351,7 +351,13 @@ def write_matrix_market(path, matrix: np.ndarray) -> None:
     ones = matrix == 1.0
     if not np.all(ones | (matrix == 0.0)):
         raise InvalidInputError("Matrix Market output takes 0/1 entries only")
-    m, n = matrix.shape
+    _write_digits(path, ones)
+
+
+def _write_digits(path, ones: np.ndarray) -> None:
+    """:func:`write_matrix_market` of the 0/1 matrix whose 1 entries are
+    ``ones``, without checking it."""
+    m, n = ones.shape
     lines = np.full((n, m, 2), ord("\n"), dtype=np.uint8)
     digits = lines[:, :, 0]
     digits[...] = ones.T
@@ -560,9 +566,14 @@ def dataset_paths(prefix) -> tuple[Path, Path]:
 
 
 def save_dataset(dataset: BinaryDataset, prefix) -> tuple[Path, Path]:
-    """Write ``<prefix>.mtx`` and ``<prefix>.json``; returns both paths."""
+    """Write ``<prefix>.mtx`` and ``<prefix>.json``; returns both paths.
+
+    The matrix of a :class:`BinaryDataset` is a float64 0/1 array by
+    construction, so it is written without :func:`write_matrix_market`'s
+    checks, in the same bytes.
+    """
     mtx_path, json_path = dataset_paths(prefix)
-    write_matrix_market(mtx_path, dataset.matrix)
+    _write_digits(mtx_path, dataset.matrix == 1.0)
     sidecar: dict = {
         "format_version": SIDECAR_FORMAT_VERSION,
         "seed": dataset.seed,

@@ -109,14 +109,15 @@ def uniform_grid(prefix: int, n_rows: int, n_cols: int) -> np.ndarray:
     return _to_unit(_mix_array(rows[:, None] ^ cols[None, :]))
 
 
-def row_blocks(n_rows: int, n_cols: int):
-    """Row slices covering range(n_rows), each of about ``BLOCK_ENTRIES``
-    entries of an (n_rows, n_cols) matrix and at least one row.
+def row_blocks(n_rows: int, n_cols: int, entries: int | None = None):
+    """Row slices covering range(n_rows), each of about ``entries`` (default
+    ``BLOCK_ENTRIES``) entries of an (n_rows, n_cols) matrix and at least
+    one row.
 
     The one blocking of every row-block kernel in the package: a per-row
     result does not depend on how many rows share its block.
     """
-    step = max(1, BLOCK_ENTRIES // max(n_cols, 1))
+    step = max(1, (entries or BLOCK_ENTRIES) // max(n_cols, 1))
     for start in range(0, n_rows, step):
         yield slice(start, min(start + step, n_rows))
 

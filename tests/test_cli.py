@@ -414,6 +414,19 @@ class TestSweep:
         assert proc.returncode == 2
         assert not (tmp_path / "x.csv").exists()
 
+    def test_unknown_cell_key_exits_2(self, tmp_path, capsys):
+        from specluster.cli import main
+
+        path = tmp_path / "spec.json"
+        fixed = {"m": 20, "n": 10, "k": 2, "q": 0.1}
+        for extra, key in (({"left_size": [5, 15]}, "left_size"), ({"trials": 99}, "trials")):
+            spec = {"family": "bsbm", "axes": {"p": [0.4]}, "fixed": {**fixed, **extra},
+                    "trials_per_cell": 1}
+            path.write_text(json.dumps(spec))
+            assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+            assert f": unknown key '{key}'" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
+
     def test_malformed_cell_value_exits_2(self, tmp_path, capsys):
         from specluster.cli import main
 

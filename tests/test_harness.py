@@ -52,7 +52,6 @@ def noiseless_spec(trials=5, **overrides):
         fixed={
             "means": [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1]],
             "weights": [0.5, 0.5],
-            "k": 2,
             "sigma_sq": 1.0,
         },
         trials_per_cell=trials,
@@ -161,20 +160,29 @@ class TestSweepSpec:
             with pytest.raises(InvalidInputError, match=f": unknown key '{key}'"):
                 SweepSpec.from_json(path)
 
-    def test_cells_keep_extra_parameters(self, tmp_path):
-        # Unlike the spec's own keys, a cell's extra parameters are allowed:
-        # they become CSV columns and feed the cell key.
-        spec = SweepSpec(
-            family="bsbm",
-            axes={"p": [0.4], "batch": ["a", "b"]},
-            fixed={"m": 10, "n": 8, "k": 2, "q": 0.1},
-            trials_per_cell=1,
-            base_seed=0,
-        )
-        result = run_sweep(spec, workers=1)
-        assert result.records[0].seed != result.records[1].seed
-        write_csv(result, tmp_path / "out.csv")
-        assert (tmp_path / "out.csv").read_text().splitlines()[0].startswith("batch,k,m,n,p,q,")
+    @pytest.mark.parametrize(
+        "family, fixed, key",
+        [
+            ("bsbm", {"m": 20, "n": 10, "k": 2, "q": 0.1, "left_size": [5, 15]}, "left_size"),
+            ("bsbm", {"m": 20, "n": 10, "k": 2, "q": 0.1, "trials": 99}, "trials"),
+            ("general", {"means": [[1, 0], [0, 1]], "weights": [0.5, 0.5], "k": 2}, "k"),
+            ("general", {"means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                         "mean_accuracy": "x"}, "mean_accuracy"),
+        ],
+    )
+    def test_cell_keys_checked_before_any_trial(self, monkeypatch, family, fixed, key):
+        # A cell takes only its family's keys: a typo would otherwise run
+        # the wrong model silently, and an aggregate column's name would
+        # duplicate a CSV header.
+        axis = {"p": [0.4]} if family == "bsbm" else {"m": [20]}
+        spec = SweepSpec(family=family, axes=axis, fixed=fixed, trials_per_cell=1, base_seed=0)
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the cells were checked")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        with pytest.raises(InvalidInputError, match=rf"^cell \{{.*\}}: unknown key '{key}'$"):
+            run_sweep(spec, workers=1)
 
     def test_diagnostics_must_be_a_list(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import cli_env
 from oracles import brute_force_matching, jacobi_eigh_reference, mgs_reference
 from specluster import linalg
 from specluster import (
@@ -20,6 +27,7 @@ from specluster import (
     spectral_norm,
     truncated_svd,
 )
+from specluster import SweepSpec, rng, run_sweep
 from specluster.linalg import _jacobi_eigh, _orthonormal_columns
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0  # sqrt((3 + sqrt 5) / 2), top sigma of [[1,1],[1,0]]
@@ -237,6 +245,119 @@ class TestNorms:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             spectral_norm(np.zeros((0, 3)))
+
+
+def bsbm_noise(m, n, k, p, seed):
+    model = bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, 0.05))
+    ds = sample(model, m, seed)
+    return noise_matrix(ds.matrix, model, ds.truth)
+
+
+def no_svds(*args, **kwargs):
+    raise AssertionError("a multi-block input reached svds")
+
+
+class TestBlockedNorm:
+    """Inputs of more than one ``_GRAM_BLOCK`` row block, in their taller
+    orientation, sum each Gram product over the blocks on several threads."""
+
+    @pytest.mark.parametrize("m, n, k, seed", [(1200, 1000, 2, 0), (700, 1600, 3, 1)])
+    def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, m, n, k, seed):
+        # Half-size blocks make three, so 1, 2 and 3 CPUs give three
+        # different thread counts.
+        noise = bsbm_noise(m, n, k, 0.3, seed)
+        monkeypatch.setattr(linalg, "_GRAM_BLOCK", 1 << 19)
+        tall = max(m, n), min(m, n)
+        assert len(list(rng.row_blocks(*tall, linalg._GRAM_BLOCK))) == 3
+        monkeypatch.setattr(linalg, "svds", no_svds)
+        values = set()
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
+            values.add(spectral_norm(noise).hex())
+        (value,) = values
+        ref = np.linalg.norm(noise, 2)
+        assert abs(float.fromhex(value) - ref) <= 1e-13 * ref
+
+    def test_bytes_do_not_depend_on_blas_threads(self):
+        # Every BLAS call of the blocked path runs on one thread, whatever
+        # OpenBLAS was started with; on this wide input a threaded OpenBLAS
+        # changed the last digit.
+        script = (
+            "from specluster import BsbmParams, bsbm_to_mixture, noise_matrix, sample, "
+            "spectral_norm\n"
+            "model = bsbm_to_mixture(BsbmParams.balanced(700, 1600, 2, 0.3, 0.05))\n"
+            "ds = sample(model, 700, 0)\n"
+            "print(spectral_norm(noise_matrix(ds.matrix, model, ds.truth)).hex())\n"
+        )
+        printed = set()
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                env=cli_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed.add(proc.stdout)
+        assert len(printed) == 1
+
+    @pytest.mark.parametrize("m, n, k, p, seed", [(400, 400, 2, 0.2, 0), (2000, 300, 3, 0.3, 2)])
+    def test_single_block_is_the_svds_call(self, m, n, k, p, seed):
+        from scipy.sparse.linalg import svds
+
+        noise = bsbm_noise(m, n, k, p, seed)
+        key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
+        v0 = 2.0 * rng.uniform_array(key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
+        top = svds(noise, k=1, tol=1e-4, v0=v0, maxiter=10_000, return_singular_vectors=False)
+        assert spectral_norm(noise) == float(top[0])
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        # A pool left running would hold threads across the fork of a sweep,
+        # where Python 3.12+ warns and a held lock can hang a worker.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        spectral_norm(bsbm_noise(1200, 1000, 2, 0.3, 0))
+        assert threading.active_count() == before
+        spec = SweepSpec(
+            family="bsbm", axes={"p": [0.45]}, fixed={"m": 40, "n": 30, "k": 2, "q": 0.05},
+            trials_per_cell=2, base_seed=0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            assert len(run_sweep(spec, workers=2).records) == 2
+
+    def test_convergence_failure_on_threads(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_ITER", 1)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(linalg, "svds", no_svds)
+        before = threading.active_count()
+        with pytest.raises(ConvergenceError, match="spectral norm"):
+            spectral_norm(random_matrix(221, 1200, 1000))
+        assert threading.active_count() == before
+
+    def test_pool_workers_run_the_norm_on_one_thread(self, monkeypatch):
+        # Small blocks make the 120x100 noise of each trial two blocks.  The
+        # inline sweep runs its norms on two threads; a forked worker, whose
+        # CPUs the other workers fill, must start none.
+        parent = os.getpid()
+        started = []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker started a thread")
+            started.append(thread)
+            return real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(linalg, "_GRAM_BLOCK", 1 << 13)
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(linalg, "svds", no_svds)
+        spec = SweepSpec(
+            family="bsbm", axes={"p": [0.3, 0.45]}, fixed={"m": 120, "n": 100, "k": 2, "q": 0.05},
+            trials_per_cell=1, base_seed=0, diagnostics=("conditions",),
+        )
+        inline = run_sweep(spec, workers=1)
+        assert len(started) == 2
+        assert run_sweep(spec, workers=2).records == inline.records
 
 
 

@@ -450,3 +450,27 @@ def test_sample_and_digit_path_skip_the_binary_scan(tmp_path, monkeypatch):
     for ds in (drawn, loaded):
         assert ds.matrix.dtype == np.float64 and ds.matrix.flags.c_contiguous
     assert np.array_equal(drawn.matrix, loaded.matrix)
+
+
+def test_save_dataset_skips_the_writer_checks(tmp_path, monkeypatch):
+    # A BinaryDataset's matrix is 0/1 by construction, so saving it runs
+    # neither as_matrix nor the 0/1 compare; the bytes are the checked
+    # writer's.
+    from specluster import models
+
+    model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
+    ds = sample(model, 40, 0)
+    write_matrix_market(tmp_path / "checked.mtx", ds.matrix)
+    shapes = []
+    real_as_matrix = models.as_matrix
+
+    def recording_as_matrix(a, *args):
+        shapes.append(np.shape(a))
+        return real_as_matrix(a, *args)
+
+    monkeypatch.setattr(models, "as_matrix", recording_as_matrix)
+    save_dataset(ds, tmp_path / "d")
+    assert (40, 30) not in shapes
+    assert (tmp_path / "d.mtx").read_bytes() == (tmp_path / "checked.mtx").read_bytes()
+    with pytest.raises(InvalidInputError, match="0/1 entries only"):
+        write_matrix_market(tmp_path / "bad.mtx", np.array([[0.0, 0.5]]))
