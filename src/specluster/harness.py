@@ -30,7 +30,15 @@ from .analysis import (
     score,
 )
 from .errors import InvalidInputError
-from .linalg import _one_thread, _usable_cpus, as_count, as_int, import_scipy, spectral_norm
+from .linalg import (
+    _can_fork,
+    _one_thread,
+    _usable_cpus,
+    as_count,
+    as_int,
+    import_scipy,
+    spectral_norm,
+)
 from .models import (
     BSBM_KEYS,
     MIXTURE_KEYS,
@@ -312,7 +320,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     threads running should pass ``workers=1``: a lock one of them holds at
     the fork stays held in the workers, and Python 3.12+ warns.  OpenBLAS
     stops its own thread pool before a fork, so unpinned BLAS threads are
-    safe; each worker then runs OpenBLAS and ``spectral_norm`` on one thread.
+    safe; each worker then runs OpenBLAS and ``spectral_norm`` on one thread,
+    and both halves of ``cluster`` inline.
     """
     if workers is not None:
         workers = as_count(workers, "workers", 1)
@@ -322,7 +331,7 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
 
     tasks = [(params, t) for params in cells for t in range(spec.trials_per_cell)]
     workers = min(workers or _usable_cpus(), len(tasks))
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if workers > 1 and _can_fork():
         import_scipy()
         pool = ProcessPoolExecutor(
             workers, mp_context=multiprocessing.get_context("fork"), initializer=_one_thread

@@ -24,10 +24,20 @@ orientation, computes each Gram product AᵀA·x block by block on every
 usable CPU and sums the blocks in order, so its bytes do not depend on the
 CPU, thread or BLAS thread count.
 
-This is the only module that uses scipy, and it imports scipy on first use:
-the SVD loads ``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg``
-and the assignment solver ``scipy.optimize``.  ``concurrent.futures`` is
-imported only by a multi-block ``spectral_norm``.
+This is the only module that uses scipy, and it imports scipy on first use,
+through ``_scipy`` with the cyclic GC paused: the SVD loads
+``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg`` and the
+assignment solver ``scipy.optimize``.  ``concurrent.futures`` is imported
+only by a multi-block ``spectral_norm``.
+
+The module also holds the process plumbing that the parallel paths share:
+``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
+forked sweep worker), which decides both whether a multi-block
+``spectral_norm`` runs on threads and whether ``pipeline.cluster_detailed``
+forks a child for its second half; ``_can_fork``; and
+``_blas_on_one_thread``, which pins every loaded OpenBLAS to one thread
+while either runs, so that their bytes do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -35,9 +45,12 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import gc
+import importlib
 import itertools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,9 +66,10 @@ _OVERSAMPLE = 8
 _CHECK_EVERY = 8
 _NORM_TOL = 1e-4  # svds squares it: ARPACK stops at a relative residual of 1e-8
 _GRAM_BLOCK = 1 << 20  # entries per row block of spectral_norm's Gram product
-# Threads of a multi-block spectral_norm; None is one per usable CPU.
-# Forked sweep workers set 1 (see ``_one_thread``).
-_norm_threads: int | None = None
+# CPUs this process may use: None reads the affinity mask (``_usable_cpus``).
+# Forked sweep workers set 1 (see ``_one_thread``), so a multi-block
+# spectral_norm and cluster's halves run inline there.
+_cpus: int | None = None
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -338,37 +352,54 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
 
 
+def _scipy(name: str):
+    """The scipy module ``name``, imported on first use with the cyclic GC
+    paused.
+
+    Every scipy import of the package goes through here.  An import creates
+    many objects and little garbage, so the collections it would trigger
+    find almost nothing; the caller's GC state is restored, also when the
+    import raises.  A first import may load scipy's own OpenBLAS, so it
+    empties the cache of ``_openblas_thread_controls``.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        module = importlib.import_module(name)
+    finally:
+        if enabled:
+            gc.enable()
+    _openblas_thread_controls.cache_clear()
+    return module
+
+
 def import_scipy() -> None:
     """Import every scipy module this package uses.
 
     For a caller about to fork workers that will need them: each worker
     then inherits the modules instead of importing them on its own.
     """
-    import scipy.linalg.lapack  # noqa: F401
-    import scipy.optimize  # noqa: F401
-    import scipy.sparse.linalg  # noqa: F401
+    for name in ("scipy.linalg.lapack", "scipy.optimize", "scipy.sparse.linalg"):
+        _scipy(name)
 
 
 @functools.cache
 def _lapack_qr():
     """LAPACK's ``dgeqrf`` and ``dorgqr``, looked up on the first call only."""
-    from scipy.linalg.lapack import dgeqrf, dorgqr
-
-    return dgeqrf, dorgqr
+    lapack = _scipy("scipy.linalg.lapack")
+    return lapack.dgeqrf, lapack.dorgqr
 
 
 def svds(a, **kwargs):
     """``scipy.sparse.linalg.svds``, imported on first call."""
-    from scipy.sparse.linalg import svds as scipy_svds
-
-    return scipy_svds(a, **kwargs)
+    return _scipy("scipy.sparse.linalg").svds(a, **kwargs)
 
 
 def linear_sum_assignment(cost):
     """``scipy.optimize.linear_sum_assignment``, imported on first call."""
-    from scipy.optimize import linear_sum_assignment as scipy_lsa
-
-    return scipy_lsa(cost)
+    return _scipy("scipy.optimize").linear_sum_assignment(cost)
 
 
 def _usable_cpus() -> int:
@@ -379,20 +410,30 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _openblas_thread_controls() -> list:
+def _can_fork() -> bool:
+    """Whether this platform can fork: the sweep pool and cluster's second
+    half run in forked processes only where it can."""
+    return hasattr(os, "fork")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
     """``(get, set)`` thread-count functions of every OpenBLAS in this process.
 
     numpy and scipy may each bundle their own OpenBLAS, so there may be
     several.  A library exports them plain, with a 64-bit-integer suffix, or
     with the scipy-openblas wheels' prefix.  The libraries are found in
-    ``/proc/self/maps``; where it is absent the list is empty.
+    ``/proc/self/maps``; where it is absent there are none.  The result is
+    cached, because reading the maps and opening the libraries costs about a
+    millisecond; :func:`_scipy` empties the cache after each first import,
+    which is how scipy's OpenBLAS loads after numpy's.
     """
     try:
         with open("/proc/self/maps") as maps:
             fields = (line.split(maxsplit=5) for line in maps)
             paths = {f[5].strip() for f in fields if len(f) == 6 and "openblas" in f[5]}
     except OSError:
-        return []
+        return ()
     controls = []
     for path in sorted(paths):
         try:
@@ -406,17 +447,18 @@ def _openblas_thread_controls() -> list:
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
                 controls.append((get, set_))
-    return controls
+    return tuple(controls)
 
 
 def _one_thread() -> None:
-    """Run every loaded OpenBLAS, and ``spectral_norm``, on one thread.
+    """Run every loaded OpenBLAS on one thread, and count this process as
+    one CPU, so that ``spectral_norm`` and ``cluster`` run inline.
 
     The initializer of the sweep's forked workers: the workers already fill
-    the CPUs, and threads on top of them oversubscribe the CPUs.
+    the CPUs, and threads or processes on top of them oversubscribe them.
     """
-    global _norm_threads
-    _norm_threads = 1
+    global _cpus
+    _cpus = 1
     for _, set_threads in _openblas_thread_controls():
         set_threads(1)
 
@@ -447,11 +489,11 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
     t, t + threads, ...  Every OpenBLAS found in ``/proc/self/maps`` runs on
     one thread meanwhile, so the bytes depend on the blocks alone.
     """
-    from scipy.linalg import svd
-    from scipy.sparse.linalg import LinearOperator, eigsh
+    sparse_linalg = _scipy("scipy.sparse.linalg")
+    svd = _scipy("scipy.linalg").svd
 
     n = tall.shape[1]
-    threads = min(len(blocks), _norm_threads or _usable_cpus())
+    threads = min(len(blocks), _cpus or _usable_cpus())
     slots = np.empty((len(blocks), n))
 
     def products(first: int, x: np.ndarray) -> None:
@@ -472,8 +514,8 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
 
     # One thread submits nothing, so its pool starts no thread.
     with _blas_on_one_thread(), ThreadPoolExecutor(max(threads - 1, 1)) as pool:
-        op = LinearOperator((n, n), matvec=gram, dtype=np.float64)
-        _, vec = eigsh(op, k=1, tol=_NORM_TOL**2, maxiter=MAX_ITER, v0=v0)
+        op = sparse_linalg.LinearOperator((n, n), matvec=gram, dtype=np.float64)
+        _, vec = sparse_linalg.eigsh(op, k=1, tol=_NORM_TOL**2, maxiter=MAX_ITER, v0=v0)
         vec, _ = np.linalg.qr(vec)
         return float(svd(tall @ vec, compute_uv=False, overwrite_a=True)[0])
 
@@ -525,13 +567,12 @@ def spectral_norm(a) -> float:
     v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
     tall = a if m >= n else a.T
     blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
-    from scipy.sparse.linalg import ArpackError
-
+    arpack_error = _scipy("scipy.sparse.linalg").ArpackError
     try:
         if len(blocks) > 1:
             return _blocked_norm(tall, blocks, v0)
         top = svds(a, k=1, tol=_NORM_TOL, v0=v0, maxiter=MAX_ITER, return_singular_vectors=False)
-    except ArpackError as exc:
+    except arpack_error as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc
     return float(top[0])
 

@@ -5,18 +5,30 @@ SVD, k-means on the projected rows, then averaging of the original rows per
 cluster).  ``assign`` labels rows by the nearest estimated center.
 ``cluster`` splits the data into two seeded halves, runs centers/assignment
 cross-wise, and merges the two labelings after matching the center sets.
+Where it pays, the second half's centers are estimated in a forked child
+process while the parent estimates the first half's (see
+``cluster_detailed``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
+from . import linalg, rng
 from .errors import InvalidInputError
 from .kmeans import KMeansResult, kmeans
 from .linalg import RankKApprox, as_int, as_matrix, match_center_sets, sq_dists, truncated_svd
+
+# A half of at least this many rows and columns on the Jacobi path is worth
+# a second process; smaller ones take less time than the fork.
+_SPLIT_MIN_JACOBI = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,10 +103,41 @@ def find_centers_detailed(matrix, k: int, seed: int) -> CentersDetail:
     embedded = approx.left_vectors * approx.singular_values
     km = kmeans(embedded, k, seed=seed)
     sizes = np.bincount(km.labels, minlength=k)
-    centers = np.empty((k, n))
-    for r in range(k):
-        centers[r] = a[km.labels == r].mean(axis=0)
+    centers = _cluster_means(a, km.labels, sizes)
     return CentersDetail(CenterSet(centers, sizes), km.labels, km, approx)
+
+
+def _cluster_means(a: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Row r is ``a[labels == r].mean(axis=0)``, with the same bytes.
+
+    numpy sums axis 0 of a C-ordered matrix of n >= 2 columns one row after
+    another, so a C-ordered ``a`` is summed by :func:`rng.row_blocks`: each
+    block's rows of cluster r are copied into one buffer behind the running
+    sum, and the buffer is reduced.  No copy of a whole cluster is made.  A
+    single column reduces pairwise, and other layouts in layout order, so
+    they take the whole-matrix expression.
+    """
+    k = sizes.shape[0]
+    m, n = a.shape
+    if n == 1 or not a.flags.c_contiguous:
+        return np.stack([a[labels == r].mean(axis=0) for r in range(k)])
+    sums = np.zeros((k, n))
+    started = np.zeros(k, dtype=bool)
+    blocks = list(rng.row_blocks(m, n))
+    buffer = np.empty((blocks[0].stop + 1, n))
+    for rows in blocks:
+        block, block_labels = a[rows], labels[rows]
+        for r in range(k):
+            mask = block_labels == r
+            count = int(np.count_nonzero(mask))
+            if count == 0:
+                continue
+            first = 0 if started[r] else 1  # the running sum leads once it exists
+            buffer[0] = sums[r]
+            np.compress(mask, block, axis=0, out=buffer[1 : count + 1])
+            np.add.reduce(buffer[first : count + 1], axis=0, out=sums[r])
+            started[r] = True
+    return sums / sizes[:, None]
 
 
 def find_centers(matrix, k: int, seed: int) -> CenterSet:
@@ -118,14 +161,107 @@ def assign(matrix, centers) -> np.ndarray:
     return np.argmin(sq_dists(a, c), axis=1).astype(np.int64)
 
 
+def _split_pays(shape: tuple[int, int]) -> bool:
+    """Whether cluster's second half should run in a forked child.
+
+    It must pay: the halves take the Jacobi path with at least
+    ``_SPLIT_MIN_JACOBI`` rows and columns, or the input holds more than
+    one ``_GRAM_BLOCK`` of entries, the size at which ``spectral_norm``
+    goes parallel.  And it must be safe: the platform can fork, the process
+    may use more than one CPU (sweep workers count one), and no other
+    Python thread is alive, since a lock it holds would stay held in the
+    child.
+    """
+    m, n = shape
+    small = min((m + 1) // 2, n)
+    jacobi = _SPLIT_MIN_JACOBI <= small <= linalg.JACOBI_CUTOVER
+    return (
+        (jacobi or m * n > linalg._GRAM_BLOCK)
+        and linalg._can_fork()
+        and (linalg._cpus or linalg._usable_cpus()) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _in_two_processes(task, first: tuple, second: tuple) -> tuple:
+    """``task(*first), task(*second)``, the second computed in a forked child.
+
+    The child reads the parent's memory by copy-on-write, sends back its
+    result or its exception pickled through a pipe, and leaves through
+    ``os._exit``, so it runs no exit handler and flushes no parent buffer.
+    The first call's exception wins, as it would inline.  If the fork
+    fails, or the child dies without sending either, the parent makes the
+    second call itself.  The child is always reaped, and killed first if
+    the parent leaves early, by an exception or KeyboardInterrupt.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # e.g. out of processes or memory
+        os.close(read_fd)
+        os.close(write_fd)
+        return task(*first), task(*second)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, task(*second)))
+            except Exception as exc:
+                payload = pickle.dumps((False, exc))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    waited = False
+    try:
+        os.close(write_fd)
+        with open(read_fd, "rb") as pipe:
+            first_result = task(*first)
+            payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        waited = True
+    finally:
+        if not waited:
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return first_result, task(*second)
+    ok, second_result = pickle.loads(payload)
+    if not ok:
+        raise second_result
+    return first_result, second_result
+
+
 def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
+    """:func:`cluster` with the halves, both center sets and the matching.
+
+    The two halves' centers are independent, as in the cross-split scheme
+    the paper analyses.  Where :func:`_split_pays`, the second half's are
+    estimated in a forked child while this process estimates the first
+    half's, with every OpenBLAS on one thread.  The child computes exactly
+    what this process would, so no output depends on where it ran, and a
+    first-half error is raised before a second-half one, as inline.
+    """
     a = as_matrix(matrix)
     m = a.shape[0]
     if m < 2 * k:
         raise InvalidInputError(f"need m >= 2k rows, got m={m}, k={k}")
     first, second = split_halves(m, seed)
-    d1 = find_centers_detailed(a[first], k, rng.mix64(seed, rng.TAG_HALF, 0))
-    d2 = find_centers_detailed(a[second], k, rng.mix64(seed, rng.TAG_HALF, 1))
+
+    def centers(rows: np.ndarray, half: int) -> CentersDetail:
+        return find_centers_detailed(a[rows], k, rng.mix64(seed, rng.TAG_HALF, half))
+
+    if _split_pays(a.shape):
+        # Load LAPACK before the fork, so that the child inherits it and its
+        # OpenBLAS is pinned too.
+        linalg._lapack_qr()
+        with linalg._blas_on_one_thread():
+            d1, d2 = _in_two_processes(centers, (first, 0), (second, 1))
+    else:
+        d1, d2 = centers(first, 0), centers(second, 1)
 
     labels_second = assign(a[second], d1.center_set)
     labels_first_raw = assign(a[first], d2.center_set)

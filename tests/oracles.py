@@ -265,3 +265,11 @@ def read_matrix_market_reference(path) -> np.ndarray:
 def sq_dists_reference(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Squared distances with the row norms of ``a`` from the full ``a * a``."""
     return (a * a).sum(axis=1)[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (a @ c.T)
+
+
+def cluster_means_reference(a: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each cluster's mean row through a copy of the cluster's rows."""
+    centers = np.empty((k, a.shape[1]))
+    for r in range(k):
+        centers[r] = a[labels == r].mean(axis=0)
+    return centers

@@ -15,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specluster import linalg, rng
+from specluster import linalg, pipeline, rng
 from specluster.errors import InvalidInputError
 from specluster.models import (
     MixtureModel,
@@ -27,6 +27,7 @@ from specluster.models import (
 )
 
 from oracles import (
+    cluster_means_reference,
     matrix_market_bytes_reference,
     noise_reference,
     read_matrix_market_reference,
@@ -188,6 +189,44 @@ def test_sq_dists_on_wide_rows_matches_whole_row_norms(n_cols):
     a = np.random.default_rng(n_cols).standard_normal((3, n_cols)) * 1e3
     c = a[:2] / 7.0
     assert linalg.sq_dists(a, c).tobytes() == sq_dists_reference(a, c).tobytes()
+
+
+@given(
+    a=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=70),
+                 elements=ELEMENTS),
+    k=st.integers(1, 4),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    block=BLOCKS,
+    data=st.data(),
+)
+@example(a=np.full((3, 2), -0.0), k=1, layout="C", block=1, data=None)
+def test_cluster_means_match_whole_cluster_copies(a, k, layout, block, data):
+    if layout == "F":
+        a = np.asfortranarray(a)
+    elif layout == "strided":
+        a = np.repeat(a, 2, axis=1)[::1, ::2]
+    m = a.shape[0]
+    k = min(k, m)
+    labels = np.zeros(m, dtype=np.int64) if data is None else np.asarray(
+        data.draw(st.lists(st.integers(0, k - 1), min_size=m, max_size=m)), dtype=np.int64
+    )
+    labels[:k] = np.arange(k)  # every cluster nonempty, as k-means leaves them
+    sizes = np.bincount(labels, minlength=k)
+    with mock.patch.object(rng, "BLOCK_ENTRIES", block):
+        got = pipeline._cluster_means(a, labels, sizes)
+    assert got.tobytes() == cluster_means_reference(a, labels, k).tobytes()
+
+
+def test_cluster_means_of_a_multi_block_half_match_whole_cluster_copies():
+    # A 0/1 matrix over many default-size blocks, as find_centers_detailed
+    # averages it, with clusters of very different sizes.
+    rs = np.random.RandomState(5)
+    a = (rs.rand(700, 300) < 0.3).astype(np.float64)
+    labels = np.minimum(rs.geometric(0.4, size=700) - 1, 3)
+    sizes = np.bincount(labels, minlength=4)
+    assert len(list(rng.row_blocks(*a.shape))) > 3 and sizes.min() > 0
+    got = pipeline._cluster_means(a, labels, sizes)
+    assert got.tobytes() == cluster_means_reference(a, labels, 4).tobytes()
 
 
 @given(st.integers(0, 5000), st.integers(0, 3 * BLOCK), BLOCKS)

@@ -1,7 +1,11 @@
+import ctypes
+import gc
+import importlib
 import os
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -359,6 +363,73 @@ class TestBlockedNorm:
         assert len(started) == 2
         assert run_sweep(spec, workers=2).records == inline.records
 
+
+
+class TestScipyImports:
+    """Every scipy import goes through ``linalg._scipy``: with the cyclic GC
+    paused, and then with the cache of OpenBLAS controls refreshed."""
+
+    @pytest.fixture
+    def gc_state(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_paused_during_import_and_restored(self, monkeypatch, gc_state, enabled):
+        seen = []
+
+        def import_module(name):
+            seen.append(gc.isenabled())
+            return types.ModuleType(name)
+
+        monkeypatch.setattr(importlib, "import_module", import_module)
+        (gc.enable if enabled else gc.disable)()
+        assert linalg._scipy("scipy._not_loaded_here").__name__ == "scipy._not_loaded_here"
+        assert seen == [False]
+        assert gc.isenabled() == enabled
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_gc_restored_when_the_import_raises(self, gc_state, enabled):
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ModuleNotFoundError):
+            linalg._scipy("scipy._no_such_module")
+        assert gc.isenabled() == enabled
+
+    def test_repeated_lookups_open_no_library(self, monkeypatch):
+        linalg.import_scipy()
+        controls = linalg._openblas_thread_controls()
+
+        def no_cdll(*args, **kwargs):
+            raise AssertionError("an OpenBLAS was opened again")
+
+        monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+        assert linalg._openblas_thread_controls() == controls
+        with linalg._blas_on_one_thread():
+            pass
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_openblas_loaded_later_is_found(self):
+        # In a fresh process numpy's OpenBLAS is loaded and scipy's is not;
+        # the first scipy import must refresh the cached controls.
+        script = (
+            "import sys\n"
+            "from specluster import linalg\n"
+            "assert not any(name.startswith('scipy') for name in sys.modules)\n"
+            "before = len(linalg._openblas_thread_controls())\n"
+            "linalg._scipy('scipy.linalg.lapack')\n"
+            "after = len(linalg._openblas_thread_controls())\n"
+            "print(before, after, len(linalg._openblas_thread_controls.__wrapped__()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after, fresh = (int(word) for word in proc.stdout.split())
+        if fresh == before:
+            pytest.skip("numpy and scipy share one OpenBLAS here")
+        assert after == fresh > before
 
 
 @pytest.mark.parametrize(

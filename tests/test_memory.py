@@ -12,7 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specluster import linalg
+from specluster import linalg, pipeline
 from specluster.models import (
     BsbmParams,
     bsbm_to_mixture,
@@ -24,8 +24,7 @@ from specluster.models import (
 from specluster.pipeline import cluster_detailed
 
 M = N = 1000
-# The cli workload's number of clusters.  find_centers_detailed averages each
-# cluster through a copy of its rows, (M / 2K) x N entries, on top of the half.
+# The cli workload's number of clusters.
 K = 3
 
 
@@ -73,5 +72,14 @@ def test_matrix_market_read_converts_once(dataset, tmp_path):
 
 
 def test_cluster_detailed_holds_a_half_beyond_its_input(dataset):
+    # 1000 x 1000 is less than one _GRAM_BLOCK, so both halves run in this
+    # process.  Each cluster is averaged by row blocks, not through a copy
+    # of its rows.
     ds, _ = dataset
-    assert traced_peak(cluster_detailed, ds.matrix, K, 1) <= 0.75 * ds.matrix.nbytes
+    assert not pipeline._split_pays(ds.matrix.shape)
+    assert traced_peak(cluster_detailed, ds.matrix, K, 1) <= 0.65 * ds.matrix.nbytes
+
+
+def test_cluster_detailed_with_two_clusters_holds_a_half_beyond_its_input(dataset):
+    ds, _ = dataset
+    assert traced_peak(cluster_detailed, ds.matrix, 2, 1) <= 0.65 * ds.matrix.nbytes

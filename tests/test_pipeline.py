@@ -1,10 +1,19 @@
+import os
+import subprocess
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from specluster import (
     BsbmParams,
     CenterSet,
+    ConvergenceError,
     InvalidInputError,
+    SweepSpec,
     assign,
     bsbm_to_mixture,
     center_error_check,
@@ -13,8 +22,12 @@ from specluster import (
     expected_from_truth,
     find_centers,
     indicator_model,
+    linalg,
     margin_batch,
     match_centers_to_means,
+    pipeline,
+    rng,
+    run_sweep,
     sample,
     score,
     separation,
@@ -217,3 +230,214 @@ class TestCenterSetType:
         model = bsbm_to_mixture(BsbmParams.balanced(10, 8, 2, 0.45, 0.05))
         d = separation(model)
         assert d > 0
+
+
+def bsbm_matrix(m, n, k, seed=0):
+    return sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, 0.3, 0.1)), m, seed).matrix
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def half_seeds(seed):
+    return rng.mix64(seed, rng.TAG_HALF, 0), rng.mix64(seed, rng.TAG_HALF, 1)
+
+
+def failing_halves(monkeypatch, seed, errors):
+    """Patch find_centers_detailed to raise ``errors[i]`` in half i of
+    ``cluster(..., seed)``, where set."""
+    real = pipeline.find_centers_detailed
+    seeds = half_seeds(seed)
+
+    def find(a, k, seed):
+        for half_seed, error in zip(seeds, errors):
+            if seed == half_seed and error is not None:
+                raise error
+        return real(a, k, seed)
+
+    monkeypatch.setattr(pipeline, "find_centers_detailed", find)
+
+
+class TestSecondProcess:
+    """Where it pays, cluster_detailed estimates the second half's centers in
+    a forked child.  No output may depend on whether it did."""
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        # Two usable CPUs, whatever this host has, and every fork counted.
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
+        counted = []
+        real_fork = os.fork
+
+        def fork():
+            counted.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        yield counted
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("m, n, k", [(400, 64, 2), (64, 400, 3), (1200, 1000, 2)])
+    def test_split_matches_inline_bytes(self, monkeypatch, forks, m, n, k):
+        # A tall and a wide input on the Jacobi path, and one of two blocks.
+        a = bsbm_matrix(m, n, k)
+        split = cluster_detailed(a, k, 5)
+        assert len(forks) == 1
+        monkeypatch.setattr(linalg, "_cpus", 1)
+        inline = cluster_detailed(a, k, 5)
+        assert len(forks) == 1
+        assert split.labels.tobytes() == inline.labels.tobytes()
+        assert split.matching.tobytes() == inline.matching.tobytes()
+        assert split.match_ambiguous == inline.match_ambiguous
+        for got, want in [(split.first_centers, inline.first_centers),
+                          (split.second_centers, inline.second_centers)]:
+            assert got.centers.tobytes() == want.centers.tobytes()
+            assert got.cluster_sizes.tobytes() == want.cluster_sizes.tobytes()
+
+    def test_second_half_error_reaches_the_caller(self, monkeypatch, forks):
+        a = bsbm_matrix(400, 64, 2)
+        failing_halves(monkeypatch, 3, [None, ConvergenceError("second half did not converge")])
+        with pytest.raises(ConvergenceError, match="^second half did not converge$"):
+            cluster_detailed(a, 2, 3)
+        assert len(forks) == 1
+        monkeypatch.setattr(linalg, "_cpus", 1)
+        with pytest.raises(ConvergenceError, match="^second half did not converge$"):
+            cluster_detailed(a, 2, 3)
+
+    def test_first_half_error_wins(self, monkeypatch, forks):
+        a = bsbm_matrix(400, 64, 2)
+        failing_halves(monkeypatch, 3, [ConvergenceError("first"), InvalidInputError("second")])
+        for cpus in (None, 1):
+            monkeypatch.setattr(linalg, "_cpus", cpus)
+            with pytest.raises(ConvergenceError, match="^first$"):
+                cluster_detailed(a, 2, 3)
+            assert_no_child_left()
+        assert len(forks) == 1
+
+    def test_first_half_error_kills_the_child(self, monkeypatch, forks):
+        # The child would take 30 s; the call returns as soon as the first
+        # half fails, and the child is reaped.
+        real = pipeline.find_centers_detailed
+        first_seed, _ = half_seeds(3)
+
+        def find(a, k, seed):
+            if seed == first_seed:
+                raise KeyboardInterrupt
+            time.sleep(30)
+            return real(a, k, seed)
+
+        monkeypatch.setattr(pipeline, "find_centers_detailed", find)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cluster_detailed(bsbm_matrix(400, 64, 2), 2, 3)
+        assert time.monotonic() - start < 10
+        assert len(forks) == 1
+
+    def test_dead_child_half_runs_inline(self, monkeypatch, forks):
+        a = bsbm_matrix(400, 64, 2)
+        want = cluster_detailed(a, 2, 3).labels
+        parent = os.getpid()
+        real = pipeline.find_centers_detailed
+
+        def find(a, k, seed):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(a, k, seed)
+
+        monkeypatch.setattr(pipeline, "find_centers_detailed", find)
+        assert cluster_detailed(a, 2, 3).labels.tobytes() == want.tobytes()
+        assert len(forks) == 2
+
+    def test_failed_fork_runs_inline(self, monkeypatch, forks):
+        a = bsbm_matrix(400, 64, 2)
+        want = cluster_detailed(a, 2, 3).labels
+
+        def fork():
+            forks.append(os.getpid())
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        assert cluster_detailed(a, 2, 3).labels.tobytes() == want.tobytes()
+        assert len(forks) == 2
+        if fds is not None:
+            assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("m, n", [(400, 400), (200, 200), (400, 16), (38, 64), (2000, 8)])
+    def test_no_fork_below_the_size_rule(self, forks, m, n):
+        cluster_detailed(bsbm_matrix(m, n, 2), 2, 1)
+        assert forks == []
+
+    def test_no_fork_on_one_cpu(self, monkeypatch, forks):
+        monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
+        cluster_detailed(bsbm_matrix(400, 64, 2), 2, 1)
+        assert forks == []
+
+    def test_no_fork_without_fork(self, monkeypatch, forks):
+        monkeypatch.setattr(linalg, "_can_fork", lambda: False)
+        cluster_detailed(bsbm_matrix(400, 64, 2), 2, 1)
+        assert forks == []
+
+    def test_no_fork_with_a_second_thread(self, forks):
+        a = bsbm_matrix(400, 64, 2)
+        want = cluster_detailed(a, 2, 1).labels
+        assert len(forks) == 1
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            got = cluster_detailed(a, 2, 1).labels
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert len(forks) == 1
+        assert got.tobytes() == want.tobytes()
+
+    def test_no_fork_in_sweep_workers(self, monkeypatch, forks):
+        # 400 x 64 trials split when the sweep runs inline; forked workers,
+        # whose CPUs the other workers fill, must not fork again.
+        spec = SweepSpec(
+            family="bsbm", axes={"p": [0.3]}, fixed={"m": 400, "n": 64, "k": 2, "q": 0.1},
+            trials_per_cell=2, base_seed=0,
+        )
+        inline = run_sweep(spec, workers=1)
+        assert len(forks) == 2
+        parent, counted_fork = os.getpid(), os.fork
+
+        def fork():
+            if os.getpid() != parent:
+                raise AssertionError("a sweep worker forked")
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert run_sweep(spec, workers=2).records == inline.records
+
+    def test_labels_do_not_depend_on_blas_threads(self):
+        # Each child process clusters a Jacobi and a two-block input with
+        # the split and inline; all four label sets must agree across
+        # OPENBLAS_NUM_THREADS=1 and =2.
+        script = (
+            "from specluster import BsbmParams, bsbm_to_mixture, cluster, linalg, pipeline, sample\n"
+            "linalg._usable_cpus = lambda: 2\n"
+            "for m, n, k in [(400, 64, 2), (1200, 1000, 2)]:\n"
+            "    a = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, 0.3, 0.1)), m, 0).matrix\n"
+            "    for cpus in (None, 1):\n"
+            "        linalg._cpus = cpus\n"
+            "        assert pipeline._split_pays(a.shape) == (cpus is None)\n"
+            "        print(m, n, cluster(a, k, 5).tobytes().hex())\n"
+            "    linalg._cpus = None\n"
+        )
+        printed = []
+        for threads in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                env=cli_env(OPENBLAS_NUM_THREADS=threads),
+            )
+            assert proc.returncode == 0, proc.stderr
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 4 and lines[0] == lines[1] and lines[2] == lines[3]
+            printed.append(lines)
+        assert printed[0] == printed[1]
