@@ -12,28 +12,22 @@ checked on its own against numpy's ``eigh`` and, bit for bit, against the
 textbook loop in ``tests/oracles.py``: each rotation runs in place on a
 two-row and a two-column view.  The QR signs its columns as the
 Gram-Schmidt loop there does.  The spectral norm decides no label, so it
-runs on LAPACK for small inputs and ARPACK for the top singular value of
-large ones.  ARPACK stops at a relative residual of 1e-8 on AᵀA, not at
-machine precision: σ₁'s relative error is about that residual squared
-over the relative gap, at worst about 1e-8.  On B-SBM noise it was within
-3e-15 of LAPACK at 400×400 and 6.2e-15 at 2000×2000, with 103 instead of
-143 products per call at 400×400 and 173 instead of 263 at 2000×2000 (see
-``spectral_norm``).  An input of more
-than one row block of ``_GRAM_BLOCK`` (2²⁰) entries, in its taller
-orientation, computes each Gram product AᵀA·x block by block on every
-usable CPU and sums the blocks in order, so its bytes do not depend on the
-CPU, thread or BLAS thread count.
+runs on LAPACK for small inputs and, for large ones, on ARPACK for the top
+eigenvalue of the Gram operator AᵀA, stopped at a relative residual of 1e-8
+rather than machine precision: σ₁'s relative error is at worst about 1e-8.
+Each Gram product AᵀA·x is computed by fixed row blocks of ``_GRAM_BLOCK``
+(2²⁰) entries, on every usable CPU, and the blocks are summed in order, so
+the norm's bytes do not depend on the CPU, thread or BLAS thread count.
 
 This is the only module that uses scipy, and it imports scipy on first use,
 through ``_scipy`` with the cyclic GC paused: the SVD loads
 ``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg`` and the
-assignment solver ``scipy.optimize``.  ``concurrent.futures`` is imported
-only by a multi-block ``spectral_norm``.
+assignment solver ``scipy.optimize``.
 
 The module also holds the process plumbing that the parallel paths share:
 ``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
-forked sweep worker), which decides both whether a multi-block
-``spectral_norm`` runs on threads and whether ``pipeline.cluster_detailed``
+forked sweep worker), which decides both whether ``spectral_norm`` runs
+its blocks on threads and whether ``pipeline.cluster_detailed``
 forks a child for its second half; ``_can_fork``; and
 ``_blas_on_one_thread``, which pins every loaded OpenBLAS to one thread
 while either runs, so that their bytes do not depend on the BLAS thread
@@ -64,11 +58,11 @@ MAX_ITER = 10_000  # subspace iterations, and ARPACK restarts in spectral_norm
 
 _OVERSAMPLE = 8
 _CHECK_EVERY = 8
-_NORM_TOL = 1e-4  # svds squares it: ARPACK stops at a relative residual of 1e-8
+_NORM_TOL = 1e-8  # relative residual on AᵀA at which spectral_norm's ARPACK stops
 _GRAM_BLOCK = 1 << 20  # entries per row block of spectral_norm's Gram product
 # CPUs this process may use: None reads the affinity mask (``_usable_cpus``).
-# Forked sweep workers set 1 (see ``_one_thread``), so a multi-block
-# spectral_norm and cluster's halves run inline there.
+# Forked sweep workers set 1 (see ``_one_thread``), so spectral_norm's blocks
+# and cluster's halves run inline there.
 _cpus: int | None = None
 
 
@@ -392,11 +386,6 @@ def _lapack_qr():
     return lapack.dgeqrf, lapack.dorgqr
 
 
-def svds(a, **kwargs):
-    """``scipy.sparse.linalg.svds``, imported on first call."""
-    return _scipy("scipy.sparse.linalg").svds(a, **kwargs)
-
-
 def linear_sum_assignment(cost):
     """``scipy.optimize.linear_sum_assignment``, imported on first call."""
     return _scipy("scipy.optimize").linear_sum_assignment(cost)
@@ -478,16 +467,17 @@ def _blas_on_one_thread():
 
 
 def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
-    """``svds``'s top singular value of ``tall`` (m >= n), with each Gram
-    product summed over the row blocks ``blocks``.
+    """Top singular value of ``tall`` (m >= n), with each Gram product
+    summed over the row blocks ``blocks``.
 
-    This is ``svds``'s ARPACK path with its own arguments: ``eigsh`` on the
-    Gram operator at ``tol=_NORM_TOL**2``, then the QR of the Ritz vector
-    and ``svd(A·v)``.  Block b computes ``A_bᵀ(A_b·x)`` into slot b, and the
-    slots are summed in block order.  The calling thread and a pool of
-    ``threads - 1`` more, which lives only for the call, take blocks
-    t, t + threads, ...  Every OpenBLAS found in ``/proc/self/maps`` runs on
-    one thread meanwhile, so the bytes depend on the blocks alone.
+    ``eigsh`` finds the top eigenvector of the Gram operator at
+    ``tol=_NORM_TOL``; as in ``scipy.sparse.linalg.svds``, the value is then
+    ``svd(A·v)`` of the QR of that Ritz vector.  Block b computes
+    ``A_bᵀ(A_b·x)`` into slot b, and the slots are summed in block order.
+    The calling thread and a pool of ``threads - 1`` more, which lives only
+    for the call, take blocks t, t + threads, ...  Every OpenBLAS found in
+    ``/proc/self/maps`` runs on one thread meanwhile, so the bytes depend on
+    the blocks alone.
     """
     sparse_linalg = _scipy("scipy.sparse.linalg")
     svd = _scipy("scipy.linalg").svd
@@ -515,7 +505,7 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
     # One thread submits nothing, so its pool starts no thread.
     with _blas_on_one_thread(), ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         op = sparse_linalg.LinearOperator((n, n), matvec=gram, dtype=np.float64)
-        _, vec = sparse_linalg.eigsh(op, k=1, tol=_NORM_TOL**2, maxiter=MAX_ITER, v0=v0)
+        _, vec = sparse_linalg.eigsh(op, k=1, tol=_NORM_TOL, maxiter=MAX_ITER, v0=v0)
         vec, _ = np.linalg.qr(vec)
         return float(svd(tall @ vec, compute_uv=False, overwrite_a=True)[0])
 
@@ -523,33 +513,22 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
 def spectral_norm(a) -> float:
     """Largest singular value of ``a``.
 
-    When min(m, n) <= 64 this is LAPACK's full SVD (``np.linalg.norm(a, 2)``).
-    Larger inputs go to ARPACK, which runs Lanczos on the Gram operator AᵀA
-    (AAᵀ for a wide input) for the top value alone, from a start vector
-    derived from a fixed internal key rather than global random state.
-    ``svds`` squares its ``tol``, so ``_NORM_TOL`` = 1e-4 stops ARPACK at a
-    relative residual of 1e-8 on the Gram operator.  σ₁'s relative error is
+    When min(m, n) <= ``JACOBI_CUTOVER`` (64) this is LAPACK's full SVD
+    (``np.linalg.norm(a, 2)``).  Larger inputs go to :func:`_blocked_norm`:
+    ARPACK runs Lanczos on the Gram operator AᵀA (AAᵀ for a wide input) for
+    the top value alone, from a start vector derived from a fixed internal
+    key rather than global random state, and stops at a relative residual
+    of ``_NORM_TOL`` (1e-8) on the Gram operator.  σ₁'s relative error is
     then about 1e-16 over the relative gap (σ₁² − σ₂²)/σ₁², and at most that
     gap when it is below 1e-8, where ARPACK cannot tell σ₁ from σ₂: at worst
-    about 1e-8.  On B-SBM noise matrices A − E it was within 3e-15 of
-    ``np.linalg.norm(a, 2)`` at 400×400 (3.1e-15 at ``tol=0``) and within
-    6.2e-15 at 2000×2000 (16 matrices), with 103 A·x and Aᵀ·y products per
-    call instead of 143 at 400×400 (medians of 20 matrices) and 173 instead
-    of 263 at 2000×2000 (medians of 4).
+    about 1e-8.
 
     The arithmetic depends on the shape alone.  The input, in its taller
     orientation, is cut into row blocks of about ``_GRAM_BLOCK`` (2²⁰)
-    entries by :func:`rng.row_blocks`.  An input of one block, such as
-    400×400 or 2000×300, is ``scipy.sparse.linalg.svds(a, k=1, ...)``.  An
-    input of more blocks, such as 2000×2000 (four), runs ``svds``'s ARPACK
-    path with the Gram product fused by blocks (``_blocked_norm``) on
-    min(blocks, usable CPUs) threads, one BLAS thread each.  Its bytes do
-    not depend on the CPU, thread or BLAS thread count; they may differ
-    from the whole-matrix ``svds`` in the last digits: by at most 4.4e-16
-    relative over the 16 2000×2000 datasets of the ``cli`` bench.  Forked
-    sweep workers run it on one thread.  At 2000×2000 with 2 CPUs and one
-    BLAS thread it took 0.13 s instead of 0.22 s, and the ``generate`` and
-    ``check`` commands 0.47 and 0.44 s instead of 0.55 and 0.52 s.
+    entries by :func:`rng.row_blocks`: one block at 400×400 or 2000×300,
+    four at 2000×2000.  The blocks run on min(blocks, usable CPUs) threads,
+    one BLAS thread each, and their bytes do not depend on the CPU, thread
+    or BLAS thread count.  Forked sweep workers run them on one thread.
 
     An all-zero input returns 0.0.  ARPACK failures, including running out
     of its ``MAX_ITER`` restarts, raise :class:`ConvergenceError`.
@@ -567,14 +546,10 @@ def spectral_norm(a) -> float:
     v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
     tall = a if m >= n else a.T
     blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
-    arpack_error = _scipy("scipy.sparse.linalg").ArpackError
     try:
-        if len(blocks) > 1:
-            return _blocked_norm(tall, blocks, v0)
-        top = svds(a, k=1, tol=_NORM_TOL, v0=v0, maxiter=MAX_ITER, return_singular_vectors=False)
-    except arpack_error as exc:
+        return _blocked_norm(tall, blocks, v0)
+    except _scipy("scipy.sparse.linalg").ArpackError as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc
-    return float(top[0])
 
 
 def _center_rows(c) -> np.ndarray:

@@ -311,17 +311,16 @@ class TestCheck:
         assert "Traceback" not in proc.stderr
 
     def test_arpack_failure_exits_1(self, tmp_path, monkeypatch, capsys):
-        from scipy.sparse.linalg import ArpackNoConvergence
+        import scipy.sparse.linalg
 
-        import specluster.linalg
         from specluster.cli import main
 
         def no_convergence(*args, **kwargs):
-            raise ArpackNoConvergence("No convergence", [], [])
+            raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
 
         out = tmp_path / "big"
         run_cli("generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", str(out))
-        monkeypatch.setattr(specluster.linalg, "svds", no_convergence)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         assert main(["check", "--data", str(out)]) == 1
         assert "convergence failure" in capsys.readouterr().err
 

@@ -215,31 +215,27 @@ class TestNorms:
     def test_spectral_product_count(self, monkeypatch):
         # Stopping at a residual of 1e-8 instead of machine precision takes
         # 103 A.x and A^T.y products on this matrix, where tol=0 took 143;
-        # counts move in whole restarts of 20.
-        from scipy.sparse.linalg import LinearOperator
+        # counts move in whole restarts of 20.  Each Gram product A^T(A.x)
+        # that eigsh asks for is two of them, and the final A.v is one.
+        sparse_linalg = linalg._scipy("scipy.sparse.linalg")
+        real_eigsh = sparse_linalg.eigsh
+        grams = []
 
-        real_svds = linalg.svds
-        products = []
-
-        def counting_svds(a, **kwargs):
+        def counting_eigsh(op, **kwargs):
             def matvec(x):
-                products.append("A")
-                return a @ x
+                grams.append(None)
+                return op.matvec(x)
 
-            def rmatvec(y):
-                products.append("At")
-                return a.T @ y
+            counted = sparse_linalg.LinearOperator(op.shape, matvec=matvec, dtype=op.dtype)
+            return real_eigsh(counted, **kwargs)
 
-            op = LinearOperator(a.shape, matvec=matvec, rmatvec=rmatvec, dtype=a.dtype)
-            return real_svds(op, **kwargs)
-
-        monkeypatch.setattr(linalg, "svds", counting_svds)
+        monkeypatch.setattr(sparse_linalg, "eigsh", counting_eigsh)
         model = bsbm_to_mixture(BsbmParams.balanced(400, 400, 2, 0.2, 0.05))
         ds = sample(model, 400, 1)
         noise = noise_matrix(ds.matrix, model, ds.truth)
         got = spectral_norm(noise)
         assert abs(got - np.linalg.norm(noise, 2)) <= 1e-13 * got
-        assert 0 < len(products) <= 123
+        assert 0 < 2 * len(grams) + 1 <= 123
 
     def test_spectral_arpack_failure_is_convergence_error(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_ITER", 1)
@@ -257,13 +253,10 @@ def bsbm_noise(m, n, k, p, seed):
     return noise_matrix(ds.matrix, model, ds.truth)
 
 
-def no_svds(*args, **kwargs):
-    raise AssertionError("a multi-block input reached svds")
-
-
 class TestBlockedNorm:
-    """Inputs of more than one ``_GRAM_BLOCK`` row block, in their taller
-    orientation, sum each Gram product over the blocks on several threads."""
+    """Every ARPACK norm sums each Gram product over the ``_GRAM_BLOCK`` row
+    blocks of its input, in its taller orientation, on several threads when
+    there is more than one block."""
 
     @pytest.mark.parametrize("m, n, k, seed", [(1200, 1000, 2, 0), (700, 1600, 3, 1)])
     def test_bytes_do_not_depend_on_thread_count(self, monkeypatch, m, n, k, seed):
@@ -273,7 +266,6 @@ class TestBlockedNorm:
         monkeypatch.setattr(linalg, "_GRAM_BLOCK", 1 << 19)
         tall = max(m, n), min(m, n)
         assert len(list(rng.row_blocks(*tall, linalg._GRAM_BLOCK))) == 3
-        monkeypatch.setattr(linalg, "svds", no_svds)
         values = set()
         for cpus in (1, 2, 3):
             monkeypatch.setattr(linalg, "_usable_cpus", lambda: cpus)
@@ -282,15 +274,17 @@ class TestBlockedNorm:
         ref = np.linalg.norm(noise, 2)
         assert abs(float.fromhex(value) - ref) <= 1e-13 * ref
 
-    def test_bytes_do_not_depend_on_blas_threads(self):
-        # Every BLAS call of the blocked path runs on one thread, whatever
-        # OpenBLAS was started with; on this wide input a threaded OpenBLAS
-        # changed the last digit.
+    @pytest.mark.parametrize("m, n", [(700, 1600), (2000, 300)])
+    def test_bytes_do_not_depend_on_blas_threads(self, m, n):
+        # Every BLAS call of the norm runs on one thread, whatever OpenBLAS
+        # was started with.  On both inputs, the wide multi-block one and
+        # the one-block 2000x300, products on OpenBLAS's threads change the
+        # last digit.
         script = (
             "from specluster import BsbmParams, bsbm_to_mixture, noise_matrix, sample, "
             "spectral_norm\n"
-            "model = bsbm_to_mixture(BsbmParams.balanced(700, 1600, 2, 0.3, 0.05))\n"
-            "ds = sample(model, 700, 0)\n"
+            f"model = bsbm_to_mixture(BsbmParams.balanced({m}, {n}, 2, 0.3, 0.05))\n"
+            f"ds = sample(model, {m}, 0)\n"
             "print(spectral_norm(noise_matrix(ds.matrix, model, ds.truth)).hex())\n"
         )
         printed = set()
@@ -305,12 +299,14 @@ class TestBlockedNorm:
 
     @pytest.mark.parametrize("m, n, k, p, seed", [(400, 400, 2, 0.2, 0), (2000, 300, 3, 0.3, 2)])
     def test_single_block_is_the_svds_call(self, m, n, k, p, seed):
-        from scipy.sparse.linalg import svds
-
+        # On one block the norm is scipy's svds on one BLAS thread, byte
+        # for byte.
+        svds = linalg._scipy("scipy.sparse.linalg").svds
         noise = bsbm_noise(m, n, k, p, seed)
         key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
         v0 = 2.0 * rng.uniform_array(key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
-        top = svds(noise, k=1, tol=1e-4, v0=v0, maxiter=10_000, return_singular_vectors=False)
+        with linalg._blas_on_one_thread():
+            top = svds(noise, k=1, tol=1e-4, v0=v0, maxiter=10_000, return_singular_vectors=False)
         assert spectral_norm(noise) == float(top[0])
 
     def test_threads_end_with_the_call(self, monkeypatch):
@@ -331,7 +327,6 @@ class TestBlockedNorm:
     def test_convergence_failure_on_threads(self, monkeypatch):
         monkeypatch.setattr(linalg, "MAX_ITER", 1)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(linalg, "svds", no_svds)
         before = threading.active_count()
         with pytest.raises(ConvergenceError, match="spectral norm"):
             spectral_norm(random_matrix(221, 1200, 1000))
@@ -354,7 +349,6 @@ class TestBlockedNorm:
         monkeypatch.setattr(threading.Thread, "start", start)
         monkeypatch.setattr(linalg, "_GRAM_BLOCK", 1 << 13)
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(linalg, "svds", no_svds)
         spec = SweepSpec(
             family="bsbm", axes={"p": [0.3, 0.45]}, fixed={"m": 120, "n": 100, "k": 2, "q": 0.05},
             trials_per_cell=1, base_seed=0, diagnostics=("conditions",),
