@@ -19,10 +19,9 @@ Each Gram product AᵀA·x is computed by fixed row blocks of ``_GRAM_BLOCK``
 (2²⁰) entries, on every usable CPU, and the blocks are summed in order, so
 the norm's bytes do not depend on the CPU, thread or BLAS thread count.
 
-This is the only module that uses scipy, and it imports scipy on first use,
-through ``_scipy`` with the cyclic GC paused: the SVD loads
-``scipy.linalg``, ``spectral_norm`` ``scipy.sparse.linalg`` and the
-assignment solver ``scipy.optimize``.
+This is the only module that uses scipy, and each function imports what it
+needs on first use: the SVD loads ``scipy.linalg``, ``spectral_norm``
+``scipy.sparse.linalg`` and the assignment solver ``scipy.optimize``.
 
 The module also holds the process plumbing that the parallel paths share:
 ``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
@@ -39,12 +38,9 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import gc
-import importlib
 import itertools
 import math
 import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,49 +342,30 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
 
 
-def _scipy(name: str):
-    """The scipy module ``name``, imported on first use with the cyclic GC
-    paused.
-
-    Every scipy import of the package goes through here.  An import creates
-    many objects and little garbage, so the collections it would trigger
-    find almost nothing; the caller's GC state is restored, also when the
-    import raises.  A first import may load scipy's own OpenBLAS, so it
-    empties the cache of ``_openblas_thread_controls``.
-    """
-    if name in sys.modules:
-        return sys.modules[name]
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        module = importlib.import_module(name)
-    finally:
-        if enabled:
-            gc.enable()
-    _openblas_thread_controls.cache_clear()
-    return module
-
-
 def import_scipy() -> None:
     """Import every scipy module this package uses.
 
     For a caller about to fork workers that will need them: each worker
     then inherits the modules instead of importing them on its own.
     """
-    for name in ("scipy.linalg.lapack", "scipy.optimize", "scipy.sparse.linalg"):
-        _scipy(name)
+    import scipy.linalg.lapack  # noqa: F401
+    import scipy.optimize  # noqa: F401
+    import scipy.sparse.linalg  # noqa: F401
 
 
 @functools.cache
 def _lapack_qr():
     """LAPACK's ``dgeqrf`` and ``dorgqr``, looked up on the first call only."""
-    lapack = _scipy("scipy.linalg.lapack")
+    from scipy.linalg import lapack
+
     return lapack.dgeqrf, lapack.dorgqr
 
 
 def linear_sum_assignment(cost):
     """``scipy.optimize.linear_sum_assignment``, imported on first call."""
-    return _scipy("scipy.optimize").linear_sum_assignment(cost)
+    from scipy import optimize
+
+    return optimize.linear_sum_assignment(cost)
 
 
 def _usable_cpus() -> int:
@@ -412,11 +389,13 @@ def _openblas_thread_controls() -> tuple:
     numpy and scipy may each bundle their own OpenBLAS, so there may be
     several.  A library exports them plain, with a 64-bit-integer suffix, or
     with the scipy-openblas wheels' prefix.  The libraries are found in
-    ``/proc/self/maps``; where it is absent there are none.  The result is
-    cached, because reading the maps and opening the libraries costs about a
-    millisecond; :func:`_scipy` empties the cache after each first import,
-    which is how scipy's OpenBLAS loads after numpy's.
+    ``/proc/self/maps``; where it is absent there are none.  LAPACK is
+    loaded before the one scan: it brings scipy's OpenBLAS, and the other
+    scipy modules the package uses bring none, so the scan sees every
+    library and its result is cached for good.  Reading the maps and
+    opening the libraries costs about a millisecond.
     """
+    _lapack_qr()
     try:
         with open("/proc/self/maps") as maps:
             fields = (line.split(maxsplit=5) for line in maps)
@@ -479,8 +458,8 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
     ``/proc/self/maps`` runs on one thread meanwhile, so the bytes depend on
     the blocks alone.
     """
-    sparse_linalg = _scipy("scipy.sparse.linalg")
-    svd = _scipy("scipy.linalg").svd
+    import scipy.sparse.linalg as sparse_linalg
+    from scipy.linalg import svd
 
     n = tall.shape[1]
     threads = min(len(blocks), _cpus or _usable_cpus())
@@ -546,9 +525,11 @@ def spectral_norm(a) -> float:
     v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
     tall = a if m >= n else a.T
     blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
+    from scipy.sparse.linalg import ArpackError
+
     try:
         return _blocked_norm(tall, blocks, v0)
-    except _scipy("scipy.sparse.linalg").ArpackError as exc:
+    except ArpackError as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc
 
 

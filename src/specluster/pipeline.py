@@ -255,9 +255,6 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
         return find_centers_detailed(a[rows], k, rng.mix64(seed, rng.TAG_HALF, half))
 
     if _split_pays(a.shape):
-        # Load LAPACK before the fork, so that the child inherits it and its
-        # OpenBLAS is pinned too.
-        linalg._lapack_qr()
         with linalg._blas_on_one_thread():
             d1, d2 = _in_two_processes(centers, (first, 0), (second, 1))
     else:
