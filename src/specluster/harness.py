@@ -308,13 +308,12 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     the number of trials).  Workers are forked rather than spawned, so they
     do not pay the package import again; with one worker, or where ``fork``
     is unavailable, trials run inline.  The package imports scipy on first
-    use, so the pool branch imports it before forking.  Otherwise every
-    worker would import scipy again, and the OpenBLAS that scipy bundles
-    would load after the worker limited the loaded ones to one thread.
-    Records are collected in grid order, so the result is the same for
-    every worker count.  When trials raise,
-    the queued ones are cancelled and the error of the first failing trial
-    in grid order is re-raised, as the inline run would raise it.
+    use, so the pool branch imports it before forking, and the workers
+    inherit it instead of each importing it again.  Records are collected
+    in grid order, so the result is the same for every worker count.  When
+    trials raise, the queued ones are cancelled and the error of the first
+    failing trial in grid order is re-raised, as the inline run would raise
+    it.
 
     Forking copies only the calling thread.  A caller that has other
     threads running should pass ``workers=1``: a lock one of them holds at

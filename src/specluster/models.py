@@ -31,6 +31,7 @@ from .linalg import as_int, as_matrix, sq_dists
 _WEIGHT_SUM_TOL = 1e-12
 _COUNT_TOL = 1e-6
 SIDECAR_FORMAT_VERSION = 1
+_SIDECAR_KEYS = ("format_version", "seed", "truth", "model", "bsbm", "derived")
 
 
 @dataclass(frozen=True, eq=False)
@@ -598,7 +599,11 @@ def save_dataset(dataset: BinaryDataset, prefix) -> tuple[Path, Path]:
 
 
 def load_dataset(prefix) -> BinaryDataset:
-    """Load a dataset written by :func:`save_dataset`."""
+    """Load a dataset written by :func:`save_dataset`.
+
+    A sidecar key that :func:`save_dataset` does not write, or another
+    ``format_version``, raises InvalidInputError rather than being ignored.
+    """
     mtx_path, json_path = dataset_paths(prefix)
     if not mtx_path.exists():
         raise InvalidInputError(f"missing dataset file {mtx_path}")
@@ -606,14 +611,20 @@ def load_dataset(prefix) -> BinaryDataset:
     truth = model = bsbm = seed = None
     if json_path.exists():
         where = f"sidecar {json_path}"
-        sidecar = _json_object(read_json(json_path, "sidecar"), where)
+        sidecar = read_json(json_path, "sidecar")
+        check_keys(sidecar, _SIDECAR_KEYS, where)
+        version = sidecar.get("format_version", SIDECAR_FORMAT_VERSION)
+        if version != SIDECAR_FORMAT_VERSION or isinstance(version, bool):
+            raise InvalidInputError(f"{where}: unsupported format_version {version!r}")
         if sidecar.get("seed") is not None:
             seed = spec_value(sidecar, "seed", strict_int, where)
         if sidecar.get("truth") is not None:
             truth = spec_value(sidecar, "truth", _int_array, where)
         if sidecar.get("model") is not None:
+            check_keys(sidecar["model"], MIXTURE_KEYS, f"{where} model")
             model = mixture_from_spec(sidecar["model"], f"{where} model")
         if sidecar.get("bsbm") is not None:
+            check_keys(sidecar["bsbm"], BSBM_KEYS, f"{where} bsbm")
             bsbm = bsbm_from_spec(sidecar["bsbm"], f"{where} bsbm")
     return BinaryDataset(
         matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed, _binary=binary

@@ -294,6 +294,35 @@ class TestCheck:
                 assert main([*command, "--data", str(prefix)]) == 2
                 assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("part, key, value, message", [
+        (None, "trut", [0], "unknown key 'trut'"),
+        ("model", "sigma", 0.2, "model: unknown key 'sigma'"),
+        ("bsbm", "left_size", [20, 20, 20], "bsbm: unknown key 'left_size'"),
+        (None, "format_version", 99, "unsupported format_version 99"),
+    ], ids=["top-level", "model", "bsbm", "version"])
+    def test_unknown_sidecar_key_or_version_exits_2(self, tmp_path, capsys, part, key, value,
+                                                    message):
+        # Misspelled list keys were ignored, and the B-SBM below was rebuilt
+        # as balanced: check printed bsbm_rhs_shape 0.675 instead of 1.35.
+        from specluster.cli import main
+
+        model_file, prefix = tmp_path / "model.json", tmp_path / "d"
+        model_file.write_text(json.dumps({
+            "kind": "bsbm", "m": 60, "n": 30, "k": 3, "p": 0.5, "q": 0.1,
+            "left_sizes": [20, 20, 20], "right_assignment": [0] * 2 + [1] * 8 + [2] * 20,
+        }))
+        assert main(["generate", "--model", str(model_file), "--out", str(prefix)]) == 0
+        sidecar = json.loads((tmp_path / "d.json").read_text())
+        del sidecar["format_version"]
+        (tmp_path / "d.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        assert main(["check", "--data", str(prefix)]) == 0
+        assert json.loads(capsys.readouterr().out)["bsbm_rhs_shape"] == 1.35
+        (sidecar[part] if part else sidecar)[key] = value
+        (tmp_path / "d.json").write_text(json.dumps(sidecar))
+        assert main(["check", "--data", str(prefix)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_missing_sidecar_exits_2(self, tmp_path):
         prefix = generate_noiseless(tmp_path)
         (tmp_path / "noiseless.json").unlink()

@@ -296,6 +296,40 @@ class TestSecondProcess:
             assert got.centers.tobytes() == want.centers.tobytes()
             assert got.cluster_sizes.tobytes() == want.cluster_sizes.tobytes()
 
+    @pytest.mark.skipif(not os.path.isfile("/proc/self/maps"), reason="needs /proc/self/maps")
+    def test_fresh_process_child_runs_scipy_blas_on_one_thread(self):
+        # In this process scipy is loaded already.  In a fresh one, the
+        # child must inherit LAPACK's OpenBLAS pinned: a library it loaded
+        # itself would start on OpenBLAS's default thread count.
+        if not linalg._openblas_thread_controls():
+            pytest.skip("numpy does not use OpenBLAS here")
+        script = (
+            "import os, sys\n"
+            "from specluster import BsbmParams, bsbm_to_mixture, linalg, pipeline, sample\n"
+            "assert not any(name.startswith('scipy') for name in sys.modules)\n"
+            "linalg._usable_cpus = lambda: 2\n"
+            "parent, forks, real_fork = os.getpid(), [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or real_fork()\n"
+            "real_find = pipeline.find_centers_detailed\n"
+            "def find(a, k, seed):\n"
+            "    if os.getpid() != parent:\n"
+            "        linalg._lapack_qr()\n"
+            "        counts = [get() for get, _ in linalg._openblas_thread_controls.__wrapped__()]\n"
+            "        assert set(counts) == {1}, f'child OpenBLAS threads: {counts}'\n"
+            "    return real_find(a, k, seed)\n"
+            "pipeline.find_centers_detailed = find\n"
+            "model = bsbm_to_mixture(BsbmParams.balanced(400, 64, 2, 0.3, 0.1))\n"
+            "pipeline.cluster_detailed(sample(model, 400, 0).matrix, 2, 1)\n"
+            "assert forks == [1]\n"
+        )
+        env = cli_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env.pop(var, None)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+
     def test_second_half_error_reaches_the_caller(self, monkeypatch, forks):
         a = bsbm_matrix(400, 64, 2)
         failing_halves(monkeypatch, 3, [None, ConvergenceError("second half did not converge")])
