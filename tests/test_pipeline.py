@@ -300,7 +300,8 @@ class TestSecondProcess:
     def test_fresh_process_child_runs_scipy_blas_on_one_thread(self):
         # In this process scipy is loaded already.  In a fresh one, the
         # child must inherit LAPACK's OpenBLAS pinned: a library it loaded
-        # itself would start on OpenBLAS's default thread count.
+        # itself would start on OpenBLAS's default thread count.  The child
+        # loads LAPACK, as a half on the subspace path does, then scans.
         if not linalg._openblas_thread_controls():
             pytest.skip("numpy does not use OpenBLAS here")
         script = (
