@@ -36,6 +36,17 @@ class ConditionReport:
         return asdict(self)
 
 
+def report_model(dataset: BinaryDataset) -> MixtureModel:
+    """The dataset's model, once the checks :func:`condition_report` makes
+    first have passed: the dataset carries its model and truth labels, and
+    the model has at least two components."""
+    if dataset.model is None or dataset.truth is None:
+        raise InvalidInputError("condition report needs model metadata and truth labels")
+    if dataset.model.k < 2:
+        raise InvalidInputError("condition report needs at least two components")
+    return dataset.model
+
+
 def condition_report(
     dataset: BinaryDataset, *, spectral_noise: float | None = None
 ) -> ConditionReport:
@@ -43,13 +54,10 @@ def condition_report(
 
     Requires the dataset to carry its generating model and truth labels so
     the expectation matrix is computable.  ``spectral_noise`` may inject a
-    precomputed value of ||A - E[A]|| to avoid repeating the dominant cost.
+    precomputed value of ||A - E[A]|| to avoid repeating the dominant cost;
+    the matrix's entries are then not read.  ``dataset`` is not modified.
     """
-    if dataset.model is None or dataset.truth is None:
-        raise InvalidInputError("condition report needs model metadata and truth labels")
-    model = dataset.model
-    if model.k < 2:
-        raise InvalidInputError("condition report needs at least two components")
+    model = report_model(dataset)
     m, n = dataset.m, dataset.n
     if spectral_noise is None:
         spectral_noise = spectral_norm(noise_matrix(dataset.matrix, model, dataset.truth))

@@ -27,11 +27,13 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .analysis import condition_report, score
+from .analysis import condition_report, report_model, score
 from .errors import ConvergenceError, InvalidInputError, SpeclusterError
+from .linalg import spectral_norm
 from .models import (
     BSBM_KEYS,
     MIXTURE_KEYS,
+    BinaryDataset,
     BsbmParams,
     MixtureModel,
     bsbm_from_spec,
@@ -39,6 +41,7 @@ from .models import (
     check_keys,
     load_dataset,
     mixture_from_spec,
+    noise_matrix,
     read_json,
     sample,
     save_dataset,
@@ -100,6 +103,16 @@ def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
     raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
 
+def _report_over_matrix(dataset: BinaryDataset) -> dict:
+    """``condition_report(dataset).to_json()``, with A - E written over
+    ``dataset.matrix``, which the command no longer needs: one m x n array
+    is held, not two.  The report's own input errors are raised first,
+    before anything is overwritten."""
+    model = report_model(dataset)
+    noise = noise_matrix(dataset.matrix, model, dataset.truth, out=dataset.matrix)
+    return condition_report(dataset, spectral_noise=spectral_norm(noise)).to_json()
+
+
 def cmd_generate(args) -> int:
     seed = _resolve_seed(args)
     if (args.bsbm is None) == (args.model is None):
@@ -116,7 +129,7 @@ def cmd_generate(args) -> int:
     mtx_path, json_path = save_dataset(dataset, args.out)
     _log(args, f"wrote {mtx_path} and {json_path}")
     if model.k >= 2:
-        _emit(condition_report(dataset).to_json())
+        _emit(_report_over_matrix(dataset))
     else:
         _emit({"note": "condition report needs at least two components"})
     return 0
@@ -149,7 +162,7 @@ def cmd_cluster(args) -> int:
 
 def cmd_check(args) -> int:
     dataset = load_dataset(args.data)
-    _emit(condition_report(dataset).to_json())
+    _emit(_report_over_matrix(dataset))
     return 0
 
 

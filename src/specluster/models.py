@@ -9,6 +9,9 @@ The dense path builds no temporary the size of the matrix: ``sample`` draws
 its rows in placed order through :func:`rng.bernoulli_grid`,
 ``noise_matrix`` subtracts the expectation by :func:`rng.row_blocks`, and
 the Matrix Market reader and writer hold the entries as uint8 digits.
+``noise_matrix(a, model, truth, out=a)`` writes A - E over the matrix
+itself, for a caller that no longer needs A: the CLI's ``generate`` and
+``check`` then hold one m x n array where they held two.
 """
 
 from __future__ import annotations
@@ -316,12 +319,18 @@ def expected_from_truth(model: MixtureModel, truth) -> np.ndarray:
     return model.means[_checked_truth(model, truth)]
 
 
-def noise_matrix(matrix, model: MixtureModel, truth) -> np.ndarray:
+def noise_matrix(matrix, model: MixtureModel, truth, *, out=None) -> np.ndarray:
     """The noise ``A - E``: ``matrix - expected_from_truth(model, truth)``.
 
     Built by :func:`rng.row_blocks`, so E is never held in full; the bytes
     are those of the full subtraction.  Finiteness is left to the consumer
     (``spectral_norm`` checks it), so ``matrix`` is read once.
+
+    ``out``, a float64 array of the matrix's shape, receives the result in
+    place of a new array.  It may be the float64 ``matrix`` itself: each
+    block is read before it is written, so a caller done with A holds one
+    m x n array instead of two.  It must not otherwise overlap ``matrix``.
+    Every check runs before ``out`` is written.
     """
     a = np.asarray(matrix, dtype=np.float64)
     truth = _checked_truth(model, truth)
@@ -330,7 +339,14 @@ def noise_matrix(matrix, model: MixtureModel, truth) -> np.ndarray:
             f"matrix shape {a.shape} does not match {truth.size} truth labels "
             f"and {model.n} model columns"
         )
-    out = np.empty_like(a)
+    if out is None:
+        out = np.empty_like(a)
+    elif not (
+        isinstance(out, np.ndarray) and out.dtype == np.float64 and out.shape == a.shape
+    ):
+        raise InvalidInputError(f"out must be a float64 array of shape {a.shape}")
+    elif out is not a and np.may_share_memory(out, a):
+        raise InvalidInputError("out must be the matrix itself or not overlap it")
     for rows in rng.row_blocks(*a.shape):
         np.subtract(a[rows], model.means[truth[rows]], out=out[rows])
     return out

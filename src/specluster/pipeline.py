@@ -244,15 +244,28 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
     half's, with every OpenBLAS on one thread.  The child computes exactly
     what this process would, so no output depends on where it ran, and a
     first-half error is raised before a second-half one, as inline.
+
+    Each of the four uses of a half (two center estimates, two assignments)
+    gathers its rows into one C-ordered buffer of ceil(m/2) rows, allocated
+    once before any fork and dropped before the matching imports
+    ``scipy.optimize``: with a new copy per use, the allocator kept a freed
+    one resident through that import.  The input is only read.
     """
     a = as_matrix(matrix)
-    m = a.shape[0]
+    m, n = a.shape
     if m < 2 * k:
         raise InvalidInputError(f"need m >= 2k rows, got m={m}, k={k}")
     first, second = split_halves(m, seed)
+    buffer = np.empty((first.size, n))
+
+    def gather(rows: np.ndarray) -> np.ndarray:
+        # "clip" skips the index check (split_halves' rows are in range),
+        # and with it the temporary of the out's size that "raise" writes
+        # through.
+        return np.take(a, rows, axis=0, out=buffer[: rows.size], mode="clip")
 
     def centers(rows: np.ndarray, half: int) -> CentersDetail:
-        return find_centers_detailed(a[rows], k, rng.mix64(seed, rng.TAG_HALF, half))
+        return find_centers_detailed(gather(rows), k, rng.mix64(seed, rng.TAG_HALF, half))
 
     if _split_pays(a.shape):
         with linalg._blas_on_one_thread():
@@ -260,8 +273,9 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
     else:
         d1, d2 = centers(first, 0), centers(second, 1)
 
-    labels_second = assign(a[second], d1.center_set)
-    labels_first_raw = assign(a[first], d2.center_set)
+    labels_second = assign(gather(second), d1.center_set)
+    labels_first_raw = assign(gather(first), d2.center_set)
+    del buffer
 
     # matching[r] is the second-half center paired with first-half center r;
     # merged labels are reported in the first half's indexing.

@@ -137,6 +137,16 @@ class TestConditionReport:
         with pytest.raises(InvalidInputError):
             condition_report(BinaryDataset(np.zeros((2, 2))))
 
+    @pytest.mark.parametrize("m, n", [(20, 10), (120, 90)])
+    def test_leaves_the_matrix_unchanged(self, m, n):
+        # The CLI writes A - E over a matrix it is done with; the library
+        # call must not, on the LAPACK norm path or the blocked one.
+        ds = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, 2, 0.4, 0.1)), m, 0)
+        matrix, before = ds.matrix, ds.matrix.copy()
+        assert condition_report(ds).spectral_noise_sq > 0
+        assert ds.matrix is matrix
+        assert matrix.tobytes() == before.tobytes()
+
     def test_talagrand_moderate_constant(self):
         # sigma^2 = 0.5 (p = 0.5): the noise-to-sigma^2(m+n) ratio stays
         # order one across seeds; the distribution is recorded for the log.

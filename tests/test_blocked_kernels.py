@@ -124,6 +124,31 @@ def test_noise_matrix_checks_labels_and_shape():
             noise_matrix(a, model, truth)
 
 
+@pytest.mark.parametrize("block", [BLOCK, 1, 3, 64])
+@pytest.mark.parametrize("m, n", [(1, 1), (40, 7), (600, 1), (3, BLOCK + 1)])
+def test_noise_matrix_over_its_matrix_matches_a_new_one(block, m, n):
+    model = mixture(m, n, 3, [0.25, 1.0, 0.0, 0.5])
+    with mock.patch.object(rng, "BLOCK_ENTRIES", block):
+        ds = sample(model, m, 4)
+        want = noise_matrix(ds.matrix, model, ds.truth)
+        got = noise_matrix(ds.matrix, model, ds.truth, out=ds.matrix)
+    assert got is ds.matrix
+    assert got.tobytes() == want.tobytes()
+
+
+def test_noise_matrix_checks_out_before_writing():
+    model = MixtureModel(np.array([[0.2, 0.4], [0.6, 0.8]]), np.array([0.5, 0.5]))
+    matrix = np.ones((3, 2))
+    with pytest.raises(InvalidInputError, match="truth labels out of range for model"):
+        noise_matrix(matrix, model, [0, 2, 1], out=matrix)
+    for out in (np.ones((3, 2), dtype=np.float32), np.ones((2, 3)), [[0.0] * 2] * 3):
+        with pytest.raises(InvalidInputError, match="out must be a float64 array of shape"):
+            noise_matrix(matrix, model, [0, 1, 1], out=out)
+    with pytest.raises(InvalidInputError, match="out must be the matrix itself or not overlap"):
+        noise_matrix(matrix, model, [0, 1, 1], out=matrix[::-1])
+    assert matrix.tobytes() == np.ones((3, 2)).tobytes()
+
+
 @given(
     n=COLUMNS,
     m=st.integers(1, 600),

@@ -329,6 +329,33 @@ class TestCheck:
         proc = run_cli("check", "--data", str(prefix))
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("k, sidecar, message", [
+        (2, False, "error: condition report needs model metadata and truth labels\n"),
+        (1, True, "error: condition report needs at least two components\n"),
+    ], ids=["no sidecar", "one component"])
+    def test_report_input_errors_come_before_the_noise(self, tmp_path, monkeypatch, capsys,
+                                                       k, sidecar, message):
+        # check writes A - E over its matrix; a dataset the report refuses
+        # exits 2 before the noise is built or its norm taken.
+        from specluster import analysis, cli
+
+        calls = []
+        for module in (cli, analysis):
+            for name in ("noise_matrix", "spectral_norm"):
+                real = getattr(module, name)
+
+                def counted(*args, _real=real, _name=name, **kwargs):
+                    calls.append(_name)
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+        prefix = generate_noiseless(tmp_path, k=k)
+        if not sidecar:
+            (tmp_path / "noiseless.json").unlink()
+        assert cli.main(["check", "--data", str(prefix)]) == 2
+        assert capsys.readouterr().err == message
+        assert calls == []
+
     def test_malformed_mtx_exits_2(self, tmp_path):
         prefix = generate_noiseless(tmp_path)
         (tmp_path / "noiseless.mtx").write_text(

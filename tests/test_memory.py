@@ -5,20 +5,29 @@ a call repeats exactly, so each bound below checks that a kernel builds no
 temporary the size of its matrix.  The matrix is 1000 x 1000 float64 (8 MB),
 so the fixed row-block buffers (about 1 MB) stay a small share of it.  The
 peak counts what the kernel returns, but not inputs that were live before.
+
+The CLI commands are held to the same bounds, from argument parsing to the
+printed report.  Where tracemalloc cannot see what a command keeps resident
+(memory freed to the allocator but not returned to the system), a child
+process's peak RSS is measured instead.
 """
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from specluster import linalg, pipeline
+from conftest import cli_env
+from specluster import cli, linalg, pipeline
 from specluster.models import (
     BsbmParams,
     bsbm_to_mixture,
     noise_matrix,
     read_matrix_market,
     sample,
+    save_dataset,
     write_matrix_market,
 )
 from specluster.pipeline import cluster_detailed
@@ -83,3 +92,58 @@ def test_cluster_detailed_holds_a_half_beyond_its_input(dataset):
 def test_cluster_detailed_with_two_clusters_holds_a_half_beyond_its_input(dataset):
     ds, _ = dataset
     assert traced_peak(cluster_detailed, ds.matrix, 2, 1) <= 0.65 * ds.matrix.nbytes
+
+
+def test_generate_holds_one_matrix(dataset, tmp_path, capsys):
+    # A - E is written over the sampled matrix once it is saved.
+    ds, _ = dataset
+    bsbm = f"m={M},n={N},k={K},p=0.3,q=0.1"
+    argv = ["generate", "--bsbm", bsbm, "--seed", "1", "--out", str(tmp_path / "d")]
+    assert traced_peak(cli.main, argv) <= 1.5 * ds.matrix.nbytes
+    assert "spectral_noise_sq" in capsys.readouterr().out
+
+
+def test_check_holds_one_matrix(dataset, tmp_path, capsys):
+    # A - E is written over the loaded matrix.
+    ds, _ = dataset
+    save_dataset(ds, tmp_path / "d")
+    argv = ["check", "--data", str(tmp_path / "d")]
+    assert traced_peak(cli.main, argv) <= 1.5 * ds.matrix.nbytes
+    assert "spectral_noise_sq" in capsys.readouterr().out
+
+
+def peak_rss_bytes(*args) -> int:
+    """Peak RSS of ``python ARGS`` and the children it reaps, read with
+    ``getrusage(RUSAGE_CHILDREN)`` in a process of its own."""
+    script = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, sys.executable, *args],
+        capture_output=True, text=True, timeout=300, env=cli_env(OPENBLAS_NUM_THREADS="1"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024  # Linux reports kilobytes
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kilobytes")
+def test_cluster_command_keeps_no_freed_half_resident(tmp_path):
+    # tracemalloc sees a freed half copy as gone, but the allocator may keep
+    # it resident while scipy.optimize loads for the matching: the command
+    # then peaks about 1.45 matrices above its imports.  With one half
+    # buffer, dropped before that import, it peaks about 1.05 above them.
+    m = n = 2000
+    ds = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, K, 0.3, 0.1)), m, 5)
+    save_dataset(ds, tmp_path / "d")
+    matrix_bytes = ds.matrix.nbytes
+    del ds
+    imports = peak_rss_bytes(
+        "-c", "import specluster.cli, scipy.linalg.lapack, scipy.optimize"
+    )
+    command = peak_rss_bytes(
+        "-m", "specluster", "cluster", "--data", str(tmp_path / "d"), "--k", str(K),
+        "--seed", "5", "--out", str(tmp_path / "labels.json"), "--diagnostics",
+    )
+    assert command - imports <= 1.2 * matrix_bytes

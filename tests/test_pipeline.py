@@ -400,6 +400,37 @@ class TestSecondProcess:
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("path", ["inline", "forked", "failed fork", "dead child"])
+    def test_input_is_only_read(self, monkeypatch, forks, path, order):
+        # Every half is gathered into cluster_detailed's own buffer, whichever
+        # process estimates it; the caller's matrix keeps its bytes.
+        a = np.asarray(bsbm_matrix(400, 64, 2), order=order)
+        before = a.copy(order=order)
+        want = cluster_detailed(before.copy(), 2, 3).labels
+        if path == "inline":
+            monkeypatch.setattr(linalg, "_cpus", 1)
+        elif path == "failed fork":
+            def fork():
+                forks.append(os.getpid())
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", fork)
+        elif path == "dead child":
+            parent, real = os.getpid(), pipeline.find_centers_detailed
+
+            def find(a, k, seed):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return real(a, k, seed)
+
+            monkeypatch.setattr(pipeline, "find_centers_detailed", find)
+        forks.clear()
+        assert cluster_detailed(a, 2, 3).labels.tobytes() == want.tobytes()
+        assert len(forks) == (0 if path == "inline" else 1)
+        assert a.flags.f_contiguous == (order == "F")
+        assert a.tobytes(order="A") == before.tobytes(order="A")
+
     @pytest.mark.parametrize("m, n", [(400, 400), (200, 200), (400, 16), (38, 64), (2000, 8)])
     def test_no_fork_below_the_size_rule(self, forks, m, n):
         cluster_detailed(bsbm_matrix(m, n, 2), 2, 1)
