@@ -21,7 +21,10 @@ the norm's bytes do not depend on the CPU, thread or BLAS thread count.
 
 This is the only module that uses scipy, and each function imports what it
 needs on first use: the SVD loads ``scipy.linalg``, ``spectral_norm``
-``scipy.sparse.linalg`` and the assignment solver ``scipy.optimize``.
+``scipy.sparse.linalg`` and the assignment solver ``scipy.sparse.csgraph``
+(which loads ``scipy.sparse.linalg`` too).  No function loads
+``scipy.optimize``: on top of LAPACK, on a 2-vCPU host, it took about
+85 ms and 21 MB to import, and csgraph about 12 ms and 5 MB.
 
 The module also holds the process plumbing that the parallel paths share:
 ``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
@@ -343,13 +346,14 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
 
 
 def import_scipy() -> None:
-    """Import every scipy module this package uses.
+    """Import every scipy module this package uses: LAPACK, ARPACK and
+    csgraph's assignment solver, never ``scipy.optimize``.
 
     For a caller about to fork workers that will need them: each worker
     then inherits the modules instead of importing them on its own.
     """
     import scipy.linalg.lapack  # noqa: F401
-    import scipy.optimize  # noqa: F401
+    import scipy.sparse.csgraph  # noqa: F401
     import scipy.sparse.linalg  # noqa: F401
 
 
@@ -362,10 +366,37 @@ def _lapack_qr():
 
 
 def linear_sum_assignment(cost):
-    """``scipy.optimize.linear_sum_assignment``, imported on first call."""
-    from scipy import optimize
+    """Minimum-cost matching of a square cost matrix, as ``(rows, cols)``
+    with ``rows = arange(k)``: row r is matched to column ``cols[r]``.
 
-    return optimize.linear_sum_assignment(cost)
+    The solver is LAPJVsp, ``scipy.sparse.csgraph``'s
+    ``min_weight_full_bipartite_matching``, on a k x (k + 1) CSR graph: the
+    k² costs and one extra column, which costs more than any optimum pays.
+    On the square graph alone LAPJVsp ran for over a minute on some float
+    costs with near-equal entries (7 of 2,000 fuzzed center sets with
+    repeated centers); on the k x (k + 1) graph none of 24,000 fuzzed cost
+    matrices, those included, took more than a millisecond.  csgraph drops
+    stored zeros, and a dropped entry is a missing edge, so an exact zero
+    is given the smallest positive float; every other cost keeps its bytes.
+    Where the identity costs the optimum, the identity is returned, so that
+    equal center sets keep their order.  Other ties take LAPJVsp's choice,
+    which may differ from ``scipy.optimize.linear_sum_assignment``'s.
+    """
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    cost = np.asarray(cost, dtype=np.float64)
+    k = cost.shape[0]
+    # A matching through the extra column costs more than k times the
+    # largest |cost|, which any matching without it stays under.
+    extra = np.full((k, 1), 2.0 * k * (np.abs(cost).max(initial=0.0) + 1.0))
+    weights = np.hstack([np.where(cost == 0.0, np.nextafter(0.0, 1.0), cost), extra]).ravel()
+    indptr = np.arange(0, weights.size + 1, k + 1)
+    graph = csr_array((weights, np.tile(np.arange(k + 1), k), indptr), (k, k + 1))
+    rows, cols = min_weight_full_bipartite_matching(graph)
+    if cost.diagonal().sum() <= cost[rows, cols].sum():
+        cols = rows
+    return rows, cols
 
 
 def _usable_cpus() -> int:

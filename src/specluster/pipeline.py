@@ -247,9 +247,10 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
 
     Each of the four uses of a half (two center estimates, two assignments)
     gathers its rows into one C-ordered buffer of ceil(m/2) rows, allocated
-    once before any fork and dropped before the matching imports
-    ``scipy.optimize``: with a new copy per use, the allocator kept a freed
-    one resident through that import.  The input is only read.
+    once before any fork and dropped before the matching, which imports
+    ``scipy.sparse.csgraph`` on first use: with a new copy per use, the
+    allocator kept a freed one resident through the matching's import.  The
+    input is only read.
     """
     a = as_matrix(matrix)
     m, n = a.shape

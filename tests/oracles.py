@@ -39,15 +39,20 @@ def exhaustive_kmeans_objective(points: np.ndarray, k: int) -> float:
     return float((total_sq - explained.sum(axis=1)).min())
 
 
+def assignment_totals(cost: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Total of every permutation of a square cost matrix, summed in row order:
+    ``perm`` pairs row r with column ``perm[r]``."""
+    k = cost.shape[0]
+    return {
+        perm: float(sum(cost[r, perm[r]] for r in range(k))) for perm in permutations(range(k))
+    }
+
+
 def brute_force_matching(first: np.ndarray, second: np.ndarray) -> tuple[np.ndarray, float]:
     """Optimal permutation and cost by trying all k! pairings."""
-    k = first.shape[0]
-    best_perm, best_cost = None, np.inf
-    for perm in permutations(range(k)):
-        cost = float(sum(np.sum((first[r] - second[perm[r]]) ** 2) for r in range(k)))
-        if cost < best_cost:
-            best_perm, best_cost = np.asarray(perm), cost
-    return best_perm, best_cost
+    totals = assignment_totals(np.array([[np.sum((a - b) ** 2) for b in second] for a in first]))
+    best = min(totals, key=totals.get)
+    return np.asarray(best), totals[best]
 
 
 def best_permutation_accuracy(predicted: np.ndarray, truth: np.ndarray, k: int) -> float:

@@ -382,20 +382,58 @@ class TestCheck:
 
 
 def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):
-    # A fresh interpreter: in this one other tests have loaded scipy.
+    # A fresh interpreter: in this one other tests have loaded scipy.  No
+    # command, matching or sweep worker loads scipy.optimize; generate and
+    # check load no matching module at all.
     script = textwrap.dedent(
         """
+        import os
         import sys
+
+        import numpy as np
+
+        from specluster import SweepSpec, harness, run_sweep
+        from specluster.analysis import match_centers_to_means
         from specluster.cli import main
+        from specluster.models import load_dataset
+        from specluster.pipeline import CenterSet
 
         def loaded():
-            return {"scipy.optimize", "scipy.sparse.linalg"} & set(sys.modules)
+            names = {"scipy.optimize", "scipy.sparse.csgraph", "scipy.sparse.linalg"}
+            return names & set(sys.modules)
 
         assert not loaded(), loaded()
         out = sys.argv[1]
         assert main(["generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", out]) == 0
         assert main(["check", "--data", out]) == 0
         assert loaded() == {"scipy.sparse.linalg"}, loaded()
+
+        # The dataset has truth, so cluster matches both the centers and,
+        # in score, the labels.
+        argv = ["cluster", "--data", out, "--k", "2", "--out", out + ".labels.json"]
+        assert main(argv + ["--diagnostics"]) == 0
+        assert loaded() == {"scipy.sparse.csgraph", "scipy.sparse.linalg"}, loaded()
+
+        model = load_dataset(out).model
+        flipped = CenterSet(model.means[::-1].copy(), np.array([40, 40]))
+        assert np.array_equal(match_centers_to_means(flipped, model).centers, model.means)
+
+        parent = os.getpid()
+        real_trial = harness.run_trial
+
+        def checked_trial(*args):
+            record = real_trial(*args)
+            assert os.getpid() != parent, "the trial ran in the parent"
+            assert "scipy.optimize" not in sys.modules, "a sweep worker loaded scipy.optimize"
+            return record
+
+        harness.run_trial = checked_trial
+        spec = SweepSpec(
+            family="bsbm", axes={"p": [0.4]}, fixed={"m": 40, "n": 40, "k": 2, "q": 0.1},
+            trials_per_cell=2, base_seed=0, diagnostics=harness.DIAGNOSTICS,
+        )
+        assert len(run_sweep(spec, workers=2).records) == 2
+        assert "scipy.optimize" not in sys.modules
         """
     )
     proc = subprocess.run(

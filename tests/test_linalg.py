@@ -11,7 +11,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cli_env
-from oracles import brute_force_matching, jacobi_eigh_reference, mgs_reference
+from oracles import (
+    assignment_totals,
+    brute_force_matching,
+    jacobi_eigh_reference,
+    mgs_reference,
+)
 from specluster import linalg
 from specluster import (
     ConvergenceError,
@@ -560,6 +565,86 @@ class TestMatchCenterSets:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             match_center_sets(np.zeros((2, 3)), np.zeros((3, 3)))
+
+
+def assignment_costs(seed: int, count: int = 200):
+    """k x k costs with k <= 6: floats with exact zeros and small negatives
+    (as rounding leaves in squared distances), and integers (as in score's
+    negated confusion counts)."""
+    rs = np.random.RandomState(seed)
+    for i in range(count):
+        k = rs.randint(1, 7)
+        if i % 2:
+            yield rs.randint(-4, 5, (k, k))
+        else:
+            cost = rs.rand(k, k)
+            cost[rs.rand(k, k) < 0.2] = 0.0
+            cost[rs.rand(k, k) < 0.2] *= -1e-12
+            yield cost
+
+
+class TestLinearSumAssignment:
+    def solve(self, cost):
+        rows, cols = linalg.linear_sum_assignment(cost)
+        assert rows.tolist() == list(range(cost.shape[0]))
+        return tuple(cols.tolist())
+
+    def assert_optimal(self, cost):
+        totals = assignment_totals(cost)
+        assert totals[self.solve(cost)] == pytest.approx(min(totals.values()), rel=0, abs=1e-12)
+
+    def test_total_is_the_brute_force_optimum(self):
+        for cost in assignment_costs(0):
+            self.assert_optimal(cost)
+
+    def test_unique_optimum_is_scipy_optimize_choice(self):
+        from scipy.optimize import linear_sum_assignment
+
+        unique = 0
+        for cost in assignment_costs(1):
+            first, second = (sorted(assignment_totals(cost).values()) + [np.inf])[:2]
+            if second - first > 1e-9:
+                unique += 1
+                assert self.solve(cost) == tuple(linear_sum_assignment(cost)[1].tolist())
+        assert unique > 100
+
+    @pytest.mark.parametrize("value", [0, 1, -2, 0.5])
+    def test_equal_costs_give_the_identity(self, value):
+        for k in range(7):
+            assert self.solve(np.full((k, k), value)) == tuple(range(k))
+
+    def test_tied_costs_give_the_identity_where_it_is_optimal(self):
+        rs = np.random.RandomState(2)
+        tied = 0
+        for _ in range(400):
+            k = rs.randint(2, 6)
+            cost = rs.randint(0, 3, (k, k))
+            totals = assignment_totals(cost)
+            best = min(totals.values())
+            identity = tuple(range(k))
+            if totals[identity] == best and list(totals.values()).count(best) > 1:
+                tied += 1
+                assert self.solve(cost) == identity
+        assert tied > 50
+
+    @pytest.mark.parametrize("seed", [211, 222, 502, 987])
+    def test_repeated_centers_finish(self, seed):
+        # Center sets with repeated centers give near-equal costs.  On these
+        # seeds LAPJVsp on the square k x k graph ran for over a minute.
+        rs = np.random.RandomState(seed)
+        k, n = rs.randint(2, 7), rs.randint(1, 20)
+        base = rs.rand(k, n) * rs.choice([1, 1e-3, 1e3])
+        base[rs.rand(k) < 0.4] = base[0]
+        first = base + rs.randn(k, n) * rs.choice([0, 1e-15, 1e-9, 1e-3])
+        second = base[rs.permutation(k)] + rs.randn(k, n) * rs.choice([0, 1e-15, 1e-9, 1e-3])
+        self.assert_optimal(linalg.sq_dists(first, second))
+
+    def test_exact_zeros_raise_no_warning(self):
+        costs = [np.zeros((3, 3)), np.eye(4), 1.0 - np.eye(4), np.array([[0.0, -0.0], [2.0, 0.0]])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for cost in costs + list(assignment_costs(3, 40)):
+                self.assert_optimal(cost)
 
 
 @given(st.integers(0, 10_000))

@@ -9,9 +9,10 @@ peak counts what the kernel returns, but not inputs that were live before.
 The CLI commands are held to the same bounds, from argument parsing to the
 printed report.  Where tracemalloc cannot see what a command keeps resident
 (memory freed to the allocator but not returned to the system), a child
-process's peak RSS is measured instead.
+process's resident size is read instead.
 """
 
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -112,38 +113,55 @@ def test_check_holds_one_matrix(dataset, tmp_path, capsys):
     assert "spectral_noise_sq" in capsys.readouterr().out
 
 
-def peak_rss_bytes(*args) -> int:
-    """Peak RSS of ``python ARGS`` and the children it reaps, read with
-    ``getrusage(RUSAGE_CHILDREN)`` in a process of its own."""
-    script = (
-        "import resource, subprocess, sys\n"
-        "subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True)\n"
-        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"
-    )
+# Defines resident(): this process's VmRSS in bytes.
+RESIDENT = (
+    "def resident():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        kb = next(line.split()[1] for line in status if line.startswith('VmRSS:'))\n"
+    "    return int(kb) * 1024\n"
+)
+
+
+def resident_bytes(script: str, *args) -> int:
+    """The last number ``python -c SCRIPT ARGS`` prints, with ``resident()``
+    defined, in a process of its own."""
     proc = subprocess.run(
-        [sys.executable, "-c", script, sys.executable, *args],
+        [sys.executable, "-c", RESIDENT + script, *args],
         capture_output=True, text=True, timeout=300, env=cli_env(OPENBLAS_NUM_THREADS="1"),
     )
     assert proc.returncode == 0, proc.stderr
-    return int(proc.stdout) * 1024  # Linux reports kilobytes
+    return int(proc.stdout.split()[-1])
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in kilobytes")
+@pytest.mark.skipif(not os.path.isfile("/proc/self/status"), reason="reads VmRSS")
 def test_cluster_command_keeps_no_freed_half_resident(tmp_path):
     # tracemalloc sees a freed half copy as gone, but the allocator may keep
-    # it resident while scipy.optimize loads for the matching: the command
-    # then peaks about 1.45 matrices above its imports.  With one half
-    # buffer, dropped before that import, it peaks about 1.05 above them.
+    # it resident.  The command peaks while it estimates the halves, so the
+    # resident size is read just after the matching, which loads csgraph.
+    # With one half buffer, dropped before the matching, the command holds
+    # about 1.14 matrices above its imports there; with the buffer dropped
+    # after the matching, about 1.64.
     m = n = 2000
     ds = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, K, 0.3, 0.1)), m, 5)
     save_dataset(ds, tmp_path / "d")
     matrix_bytes = ds.matrix.nbytes
     del ds
-    imports = peak_rss_bytes(
-        "-c", "import specluster.cli, scipy.linalg.lapack, scipy.optimize"
+    imports = resident_bytes(
+        "import specluster.cli, scipy.linalg.lapack, scipy.sparse.csgraph\nprint(resident())\n"
     )
-    command = peak_rss_bytes(
-        "-m", "specluster", "cluster", "--data", str(tmp_path / "d"), "--k", str(K),
-        "--seed", "5", "--out", str(tmp_path / "labels.json"), "--diagnostics",
+    at_matching = resident_bytes(
+        "import sys\n"
+        "from specluster import cli, pipeline\n"
+        "matched = []\n"
+        "real_match = pipeline.match_center_sets\n"
+        "def match(first, second):\n"
+        "    perm = real_match(first, second)\n"
+        "    matched.append(resident())\n"
+        "    return perm\n"
+        "pipeline.match_center_sets = match\n"
+        "assert cli.main(sys.argv[1:]) == 0\n"
+        "print(*matched)\n",
+        "cluster", "--data", str(tmp_path / "d"), "--k", str(K), "--seed", "5",
+        "--out", str(tmp_path / "labels.json"), "--diagnostics",
     )
-    assert command - imports <= 1.2 * matrix_bytes
+    assert at_matching - imports <= 1.2 * matrix_bytes
