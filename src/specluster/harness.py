@@ -319,8 +319,8 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     threads running should pass ``workers=1``: a lock one of them holds at
     the fork stays held in the workers, and Python 3.12+ warns.  OpenBLAS
     stops its own thread pool before a fork, so unpinned BLAS threads are
-    safe; each worker then runs OpenBLAS and ``spectral_norm`` on one thread,
-    and both halves of ``cluster`` inline.
+    safe; each worker then runs OpenBLAS and ARPACK's Gram products on one
+    thread, and both halves of ``cluster`` inline.
     """
     if workers is not None:
         workers = as_count(workers, "workers", 1)

@@ -2,34 +2,42 @@
 center matching.
 
 The truncated SVD is ``jacobi_svd`` when the small dimension is at most
-``JACOBI_CUTOVER``, and block power iteration (subspace iteration),
-re-orthonormalized by LAPACK's Householder QR, for larger inputs.
-``jacobi_svd`` is the one small-SVD kernel: a cyclic Jacobi
-eigendecomposition of the smaller Gram matrix.  The Rayleigh-Ritz step of
-subspace iteration is ``jacobi_svd(A·V)``, so the two paths share that
-kernel and neither is an independent oracle for the other.  The kernel is
-checked on its own against numpy's ``eigh`` and, bit for bit, against the
-textbook loop in ``tests/oracles.py``: each rotation runs in place on a
-two-row and a two-column view.  The QR signs its columns as the
+``JACOBI_CUTOVER``.  Above it, for k below the small dimension, it is
+ARPACK on the Gram operator AᵀA (AAᵀ for a wide input), computed to machine
+precision, whose pairs take their signs from the first Rayleigh-Ritz step of
+subspace iteration: ``kmeans`` lexsorts the embedded rows, so a sign reaches
+the labels, and with these signs the labels keep the bytes subspace
+iteration gave (see ``_arpack_svd``).  Subspace iteration, block power
+iteration re-orthonormalized by LAPACK's Householder QR, stays as
+``method="subspace"``, the oracle of acceptance criterion 7, and as the
+``auto`` path when k equals the small dimension.  ``jacobi_svd`` is the one
+small-SVD kernel: a cyclic Jacobi eigendecomposition of the smaller Gram
+matrix.  The Rayleigh-Ritz step of subspace iteration is ``jacobi_svd(A·V)``,
+so the two share that kernel and neither is an independent oracle for the
+other; LAPACK is the oracle of all three paths in the tests.  The Jacobi
+kernel is checked on its own against numpy's ``eigh`` and, bit for bit,
+against the textbook loop in ``tests/oracles.py``: each rotation runs in
+place on a two-row and a two-column view.  The QR signs its columns as the
 Gram-Schmidt loop there does.  The spectral norm decides no label, so it
-runs on LAPACK for small inputs and, for large ones, on ARPACK for the top
-eigenvalue of the Gram operator AᵀA, stopped at a relative residual of 1e-8
+runs on LAPACK for small inputs and, for large ones, on the same ARPACK
+kernel for the top triplet alone, stopped at a relative residual of 1e-8
 rather than machine precision: σ₁'s relative error is at worst about 1e-8.
 Each Gram product AᵀA·x is computed by fixed row blocks of ``_GRAM_BLOCK``
 (2²⁰) entries, on every usable CPU, and the blocks are summed in order, so
-the norm's bytes do not depend on the CPU, thread or BLAS thread count.
+ARPACK's bytes do not depend on the CPU, thread or BLAS thread count.
 
 This is the only module that uses scipy, and each function imports what it
-needs on first use: the SVD loads ``scipy.linalg``, ``spectral_norm``
-``scipy.sparse.linalg`` and the assignment solver ``scipy.sparse.csgraph``
-(which loads ``scipy.sparse.linalg`` too).  No function loads
+needs on first use: the SVD loads ``scipy.linalg`` and, above the cutover,
+``scipy.sparse.linalg``; ``spectral_norm`` loads ``scipy.sparse.linalg``
+and the assignment solver ``scipy.sparse.csgraph`` (which loads
+``scipy.sparse.linalg`` too).  No function loads
 ``scipy.optimize``: on top of LAPACK, on a 2-vCPU host, it took about
 85 ms and 21 MB to import, and csgraph about 12 ms and 5 MB.
 
 The module also holds the process plumbing that the parallel paths share:
 ``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
-forked sweep worker), which decides both whether ``spectral_norm`` runs
-its blocks on threads and whether ``pipeline.cluster_detailed``
+forked sweep worker), which decides both whether ARPACK's Gram products
+run their blocks on threads and whether ``pipeline.cluster_detailed``
 forks a child for its second half; ``_can_fork``; and
 ``_blas_on_one_thread``, which pins every loaded OpenBLAS to one thread
 while either runs, so that their bytes do not depend on the BLAS thread
@@ -53,15 +61,15 @@ from .errors import ConvergenceError, InvalidInputError
 
 JACOBI_CUTOVER = 64
 TOL = 1e-8  # relative residual at which subspace iteration stops
-MAX_ITER = 10_000  # subspace iterations, and ARPACK restarts in spectral_norm
+MAX_ITER = 10_000  # subspace iterations, and ARPACK's restarts
 
 _OVERSAMPLE = 8
 _CHECK_EVERY = 8
 _NORM_TOL = 1e-8  # relative residual on AᵀA at which spectral_norm's ARPACK stops
-_GRAM_BLOCK = 1 << 20  # entries per row block of spectral_norm's Gram product
+_GRAM_BLOCK = 1 << 20  # entries per row block of ARPACK's Gram product
 # CPUs this process may use: None reads the affinity mask (``_usable_cpus``).
-# Forked sweep workers set 1 (see ``_one_thread``), so spectral_norm's blocks
-# and cluster's halves run inline there.
+# Forked sweep workers set 1 (see ``_one_thread``), so ARPACK's blocks and
+# cluster's halves run inline there.
 _cpus: int | None = None
 
 
@@ -232,8 +240,11 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  This is the one
     small-SVD kernel: ``truncated_svd`` calls it on small inputs and on the
-    Rayleigh-Ritz step of subspace iteration.  A wide input is solved as
-    its transpose, with the factors swapped back.
+    Rayleigh-Ritz step of subspace iteration, whose first step signs the
+    ARPACK path's factors.  It stays the production path for min(m, n) <=
+    ``JACOBI_CUTOVER``: its signs cannot be predicted without running it,
+    so no other solver there keeps the labels' bytes.  A wide input is
+    solved as its transpose, with the factors swapped back.
 
     Cost: each sweep makes one Python-level rotation per pair of columns,
     so the time grows about as the cube of min(m, n).  On uniform square
@@ -259,44 +270,63 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _orthonormal_columns(u), s, v
 
 
+def _start_basis(m: int, n: int, k: int) -> np.ndarray:
+    """The orthonormal n x b start basis of subspace iteration, b = min(k + 8,
+    m, n), derived from a fixed internal key rather than global random state."""
+    b = min(k + _OVERSAMPLE, m, n)
+    init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
+    return _orthonormal_columns(2.0 * rng.uniform_grid(init_key, n, b) - 1.0)
+
+
+def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
+    """One Rayleigh-Ritz step of ``a`` on the orthonormal basis ``v``.
+
+    Returns ``(u, s, v_r, done, residual)``.  ``jacobi_svd(a @ v)`` gives
+    the Ritz triplets: its left factor and singular values, and its right
+    factor rotates ``v`` into ``v_r``.  ``done`` says that the top k pairs
+    meet the relative residual ``TOL``, and ``residual`` is their largest.
+    """
+    b = v.shape[1]
+    u_r, s, q = jacobi_svd(a @ v)
+    v_r = _orthonormal_columns(v @ q)
+    # a @ v_r == s * u_r by construction, so the informative residual is
+    # the transposed side.
+    resid = a.T @ u_r[:, :k] - v_r[:, :k] * s[:k]
+    resid_norms = np.sqrt(np.sum(resid * resid, axis=0))
+    scale = max(float(s[0]), 1e-300)
+    strict = resid_norms <= TOL * scale
+    done = bool(np.all(strict))
+    if not done and b > k:
+        # Singular values tied at the cut position keep their Ritz vectors
+        # rotating inside the tied cluster forever, yet any basis of that
+        # cluster yields an equally good rank-k approximation (within the
+        # cluster width).  Accept once every value is tol-accurate
+        # (quadratic in the residual) and all unconverged pairs sit against
+        # the boundary.
+        root_tol = np.sqrt(TOL)
+        loose = resid_norms <= root_tol * scale
+        near_boundary = (s[:k] - s[k]) <= 8.0 * root_tol * scale
+        done = bool(np.all(loose) and np.all(strict | near_boundary))
+    return u_r, s, v_r, done, float(resid_norms.max())
+
+
 def _subspace_svd(a: np.ndarray, k: int):
     """``(u, s, v)`` of block power iteration with Rayleigh-Ritz extraction.
 
-    The Ritz step is ``jacobi_svd(a @ v)``: its left factor and singular
-    values are the Ritz triplets, and its right factor rotates ``v``.
-    Stops at a relative residual of ``TOL``, or raises
-    :class:`ConvergenceError` after ``MAX_ITER`` iterations.
+    ``truncated_svd(..., method="subspace")``, the oracle that acceptance
+    criterion 7 checks against, and ``auto`` at k = min(m, n).  Its first
+    :func:`_ritz_step`, from :func:`_start_basis`, also signs ``auto``'s
+    ARPACK factors above the cutover (see :func:`_arpack_svd`).  It takes a
+    Ritz step every ``_CHECK_EVERY`` iterations, and stops at a relative
+    residual of ``TOL``, or raises :class:`ConvergenceError` after
+    ``MAX_ITER`` iterations.
     """
     m, n = a.shape
-    b = min(k + _OVERSAMPLE, m, n)
-    init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
-    v = _orthonormal_columns(
-        2.0 * rng.uniform_grid(init_key, n, b) - 1.0
-    )
+    v = _start_basis(m, n, k)
     last_residual = np.inf
-    root_tol = np.sqrt(TOL)
     for it in range(MAX_ITER + 1):
         if it % _CHECK_EVERY == 0 or it == MAX_ITER:
-            u_r, s, q = jacobi_svd(a @ v)
-            v_r = _orthonormal_columns(v @ q)
-            # a @ v_r == s * u_r by construction, so the informative
-            # residual is the transposed side.
-            resid = a.T @ u_r[:, :k] - v_r[:, :k] * s[:k]
-            resid_norms = np.sqrt(np.sum(resid * resid, axis=0))
-            last_residual = float(resid_norms.max())
-            scale = max(float(s[0]), 1e-300)
-            strict = resid_norms <= TOL * scale
-            done = bool(np.all(strict))
-            if not done and b > k:
-                # Singular values tied at the cut position keep their Ritz
-                # vectors rotating inside the tied cluster forever, yet any
-                # basis of that cluster yields an equally good rank-k
-                # approximation (within the cluster width).  Accept once
-                # every value is tol-accurate (quadratic in the residual)
-                # and all unconverged pairs sit against the boundary.
-                loose = resid_norms <= root_tol * scale
-                near_boundary = (s[:k] - s[k]) <= 8.0 * root_tol * scale
-                done = bool(np.all(loose) and np.all(strict | near_boundary))
+            u_r, s, v_r, done, last_residual = _ritz_step(a, v, k)
             if done:
                 return u_r, s, v_r
             v = v_r
@@ -310,6 +340,43 @@ def _subspace_svd(a: np.ndarray, k: int):
     )
 
 
+def _arpack_svd(a: np.ndarray, k: int):
+    """``(u, s, v)`` of ``auto`` for min(m, n) > ``JACOBI_CUTOVER`` and
+    k < min(m, n), in three steps.
+
+    1. The first Ritz step of :func:`_subspace_svd`, from its start basis.
+       If it already meets ``TOL``, as on all-zero input, where ARPACK
+       cannot start, it is the result, with the bytes the subspace loop
+       returns.
+    2. Otherwise :func:`_gram_svd` at ``tol=0``: ARPACK to machine
+       precision on the blocked Gram operator.
+    3. Each pair (u_j, v_j) whose v_j has a negative dot product with
+       column j of the first Ritz basis is negated.
+
+    ``kmeans`` lexsorts the embedded rows, column 0 first, so the sign of
+    σ₁'s pair reaches the labels; negating another column leaves every
+    distance byte as it was.  Once σ₁ stands apart from σ₂, each later QR
+    step of the subspace loop scales column 0 by a positive multiple of
+    AᵀA and each later Ritz rotation is near the identity on it, so the
+    loop ends with the first step's sign there.  ARPACK's σ₁ pair then
+    differs from the loop's by about 1e-12, too little to move a k-means++
+    draw or a Lloyd assignment: the labels keep the loop's bytes (the
+    README gives the census).
+    """
+    from scipy.sparse.linalg import ArpackError
+
+    m, n = a.shape
+    u, s, first, done, _ = _ritz_step(a, _start_basis(m, n, k), k)
+    if done:
+        return u, s, first
+    try:
+        u, s, v = _gram_svd(a, k, 0.0)
+    except ArpackError as exc:
+        raise ConvergenceError(f"truncated SVD: {exc}") from exc
+    signs = np.where(np.sum(v * first[:, :k], axis=0) < 0.0, -1.0, 1.0)
+    return u * signs, s, v * signs
+
+
 def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     """Best rank-k approximation of ``a`` as a :class:`RankKApprox`.
 
@@ -320,13 +387,22 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     k : int
         Target rank, 1 <= k <= min(m, n).
     method : str
-        "auto" (:func:`jacobi_svd` when min(m, n) <= JACOBI_CUTOVER, else
-        subspace iteration re-orthonormalized by Householder QR), or
-        "subspace" to force subspace iteration at any size.
+        "auto" or "subspace".  "auto" is :func:`jacobi_svd` when min(m, n)
+        <= JACOBI_CUTOVER.  Above it, for k < min(m, n), it is ARPACK on the
+        blocked Gram operator to machine precision, with each pair signed
+        by the first Ritz step of subspace iteration (:func:`_arpack_svd`);
+        at k = min(m, n) it is subspace iteration.  "subspace" forces
+        subspace iteration, re-orthonormalized by Householder QR, at any
+        size: the oracle that acceptance criterion 7 checks against.
 
-    The result is deterministic: subspace iteration starts from a basis
-    derived from a fixed internal key, not from global random state.  If it
-    has not converged after ``MAX_ITER`` iterations, it raises
+    The result is deterministic: subspace iteration and ARPACK start from
+    bases derived from fixed internal keys, not from global random state,
+    and ARPACK's bytes do not depend on the CPU, thread or BLAS thread
+    count.  Where σ₁ stands apart from σ₂, "auto" gives σ₁'s pair the sign
+    "subspace" gives it; over the README's census of B-SBM inputs with
+    q > 0, ``cluster``'s labels kept every byte.  If subspace
+    iteration has not converged after ``MAX_ITER`` iterations, or ARPACK
+    fails, including running out of its ``MAX_ITER`` restarts, it raises
     :class:`ConvergenceError`.
     """
     a = as_matrix(a)
@@ -338,6 +414,8 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
     if method == "auto" and min(m, n) <= JACOBI_CUTOVER:
         u, s, v = jacobi_svd(a)
+    elif method == "auto" and k < min(m, n):
+        u, s, v = _arpack_svd(a, k)
     elif method in ("auto", "subspace"):
         u, s, v = _subspace_svd(a, k)
     else:
@@ -476,25 +554,34 @@ def _blas_on_one_thread():
             set_threads(count)
 
 
-def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
-    """Top singular value of ``tall`` (m >= n), with each Gram product
-    summed over the row blocks ``blocks``.
+def _gram_svd(a: np.ndarray, k: int, tol: float):
+    """``(u, s, v)``: the top k singular triplets of ``a`` (k < min(m, n)),
+    sorted descending, from ARPACK on its blocked Gram operator.
 
-    ``eigsh`` finds the top eigenvector of the Gram operator at
-    ``tol=_NORM_TOL``; as in ``scipy.sparse.linalg.svds``, the value is then
-    ``svd(A·v)`` of the QR of that Ritz vector.  Block b computes
-    ``A_bᵀ(A_b·x)`` into slot b, and the slots are summed in block order.
-    The calling thread and a pool of ``threads - 1`` more, which lives only
-    for the call, take blocks t, t + threads, ...  Every OpenBLAS found in
-    ``/proc/self/maps`` runs on one thread meanwhile, so the bytes depend on
-    the blocks alone.
+    ``a`` is taken in its taller orientation, ``tall``, and cut into the
+    row blocks of about ``_GRAM_BLOCK`` entries that :func:`rng.row_blocks`
+    gives.  ``eigsh`` finds the top k eigenvectors of ``tallᵀ·tall`` at
+    ``tol``, from a start vector derived from a fixed internal key; as in
+    ``scipy.sparse.linalg.svds``, the triplets are then ``svd(tall·Q)`` of
+    the QR ``Q`` of those Ritz vectors, with right vectors ``Q·Wᵀ``.  Block
+    b computes ``A_bᵀ(A_b·x)`` into slot b, and the slots are summed in
+    block order.  The calling thread and a pool of ``threads - 1`` more,
+    which lives only for the call, take blocks t, t + threads, ...  Every
+    OpenBLAS found in ``/proc/self/maps`` runs on one thread meanwhile, so
+    the bytes depend on the shape alone.  ARPACK failures raise
+    ``scipy.sparse.linalg.ArpackError``.
     """
     import scipy.sparse.linalg as sparse_linalg
     from scipy.linalg import svd
 
-    n = tall.shape[1]
+    m, n = a.shape
+    tall = a if m >= n else a.T
+    small = tall.shape[1]
+    blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
+    v0_key = rng.mix64(rng.TAG_SVD_INIT, m, n, k)
+    v0 = 2.0 * rng.uniform_array(v0_key, np.arange(small, dtype=np.uint64)) - 1.0
     threads = min(len(blocks), _cpus or _usable_cpus())
-    slots = np.empty((len(blocks), n))
+    slots = np.empty((len(blocks), small))
 
     def products(first: int, x: np.ndarray) -> None:
         for b in range(first, len(blocks), threads):
@@ -514,24 +601,26 @@ def _blocked_norm(tall: np.ndarray, blocks: list, v0: np.ndarray) -> float:
 
     # One thread submits nothing, so its pool starts no thread.
     with _blas_on_one_thread(), ThreadPoolExecutor(max(threads - 1, 1)) as pool:
-        op = sparse_linalg.LinearOperator((n, n), matvec=gram, dtype=np.float64)
-        _, vec = sparse_linalg.eigsh(op, k=1, tol=_NORM_TOL, maxiter=MAX_ITER, v0=v0)
+        op = sparse_linalg.LinearOperator((small, small), matvec=gram, dtype=np.float64)
+        _, vec = sparse_linalg.eigsh(op, k=k, tol=tol, maxiter=MAX_ITER, v0=v0)
         vec, _ = np.linalg.qr(vec)
-        return float(svd(tall @ vec, compute_uv=False, overwrite_a=True)[0])
+        u, s, wt = svd(tall @ vec, full_matrices=False, overwrite_a=True)
+    v = vec @ wt.T
+    return (u, s, v) if m >= n else (v, s, u)
 
 
 def spectral_norm(a) -> float:
     """Largest singular value of ``a``.
 
     When min(m, n) <= ``JACOBI_CUTOVER`` (64) this is LAPACK's full SVD
-    (``np.linalg.norm(a, 2)``).  Larger inputs go to :func:`_blocked_norm`:
-    ARPACK runs Lanczos on the Gram operator AᵀA (AAᵀ for a wide input) for
-    the top value alone, from a start vector derived from a fixed internal
-    key rather than global random state, and stops at a relative residual
-    of ``_NORM_TOL`` (1e-8) on the Gram operator.  σ₁'s relative error is
-    then about 1e-16 over the relative gap (σ₁² − σ₂²)/σ₁², and at most that
-    gap when it is below 1e-8, where ARPACK cannot tell σ₁ from σ₂: at worst
-    about 1e-8.
+    (``np.linalg.norm(a, 2)``).  Larger inputs go to :func:`_gram_svd` with
+    k=1: ARPACK runs Lanczos on the Gram operator AᵀA (AAᵀ for a wide input)
+    for the top value alone, from a start vector derived from a fixed
+    internal key rather than global random state, and stops at a relative
+    residual of ``_NORM_TOL`` (1e-8) on the Gram operator.  σ₁'s relative
+    error is then about 1e-16 over the relative gap (σ₁² − σ₂²)/σ₁², and at
+    most that gap when it is below 1e-8, where ARPACK cannot tell σ₁ from
+    σ₂: at worst about 1e-8.
 
     The arithmetic depends on the shape alone.  The input, in its taller
     orientation, is cut into row blocks of about ``_GRAM_BLOCK`` (2²⁰)
@@ -552,14 +641,10 @@ def spectral_norm(a) -> float:
     if not a.any():
         # ARPACK cannot start from the zero residual a zero operator gives.
         return 0.0
-    v0_key = rng.mix64(rng.TAG_SVD_INIT, m, n, 1)
-    v0 = 2.0 * rng.uniform_array(v0_key, np.arange(min(m, n), dtype=np.uint64)) - 1.0
-    tall = a if m >= n else a.T
-    blocks = [tall[rows] for rows in rng.row_blocks(*tall.shape, _GRAM_BLOCK)]
     from scipy.sparse.linalg import ArpackError
 
     try:
-        return _blocked_norm(tall, blocks, v0)
+        return float(_gram_svd(a, 1, _NORM_TOL)[1][0])
     except ArpackError as exc:
         raise ConvergenceError(f"spectral norm: {exc}") from exc
 

@@ -166,8 +166,8 @@ def _split_pays(shape: tuple[int, int]) -> bool:
 
     It must pay: the halves take the Jacobi path with at least
     ``_SPLIT_MIN_JACOBI`` rows and columns, or the input holds more than
-    one ``_GRAM_BLOCK`` of entries, the size at which ``spectral_norm``
-    goes parallel.  And it must be safe: the platform can fork, the process
+    one ``_GRAM_BLOCK`` of entries, the size at which ARPACK's Gram
+    products go parallel.  And it must be safe: the platform can fork, the process
     may use more than one CPU (sweep workers count one), and no other
     Python thread is alive, since a lock it holds would stay held in the
     child.

@@ -374,11 +374,16 @@ class TestCheck:
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("No convergence", [], [])
 
+        # 200x200: the norm and the halves' SVD (100x200) both run ARPACK.
         out = tmp_path / "big"
-        run_cli("generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", str(out))
+        run_cli("generate", "--bsbm", "m=200,n=200,k=2,p=0.4,q=0.1", "--out", str(out))
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
         assert main(["check", "--data", str(out)]) == 1
-        assert "convergence failure" in capsys.readouterr().err
+        assert "convergence failure: spectral norm" in capsys.readouterr().err
+        labels = tmp_path / "labels.json"
+        assert main(["cluster", "--data", str(out), "--k", "2", "--out", str(labels)]) == 1
+        assert "convergence failure: truncated SVD" in capsys.readouterr().err
+        assert not labels.exists()
 
 
 def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):

@@ -17,7 +17,7 @@ from oracles import (
     jacobi_eigh_reference,
     mgs_reference,
 )
-from specluster import linalg
+from specluster import linalg, pipeline
 from specluster import (
     ConvergenceError,
     InvalidInputError,
@@ -138,6 +138,112 @@ class TestTruncatedSvd:
             assert spectral_norm(ds.matrix - approx.materialize()) <= (
                 spectral_norm(ds.matrix - expected) + 1e-7
             )
+
+
+def counting_gram_svd(monkeypatch):
+    """Patch ``linalg._gram_svd`` to record each call's k; return the list."""
+    real, calls = linalg._gram_svd, []
+
+    def gram_svd(a, k, tol):
+        calls.append(k)
+        return real(a, k, tol)
+
+    monkeypatch.setattr(linalg, "_gram_svd", gram_svd)
+    return calls
+
+
+class TestArpackSvd:
+    """Above the cutover, ``auto`` takes the first Ritz step of subspace
+    iteration, then ARPACK on the blocked Gram operator, with each pair
+    signed by that first step."""
+
+    # One block, tall and wide; then several blocks, tall and wide, once
+    # with the shipped block size and once with a small one.
+    @pytest.mark.parametrize(
+        "m, n, k, block",
+        [(400, 300, 3, None), (300, 400, 4, None), (1200, 1000, 2, None),
+         (300, 200, 3, 1 << 14), (150, 260, 5, 1 << 13)],
+    )
+    def test_factors_match_lapack(self, monkeypatch, m, n, k, block):
+        if block is not None:
+            monkeypatch.setattr(linalg, "_GRAM_BLOCK", block)
+        calls = counting_gram_svd(monkeypatch)
+        blocks = len(list(rng.row_blocks(max(m, n), min(m, n), linalg._GRAM_BLOCK)))
+        assert (blocks > 1) == (block is not None or m * n > 1 << 20)
+        for a in (sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, 0.45, 0.1)), m, 3).matrix,
+                  random_matrix(m + n, m, n)):
+            approx = truncated_svd(a, k)
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            assert np.allclose(approx.singular_values, s[:k], rtol=1e-12, atol=0.0)
+            ref = (u[:, :k] * s[:k]) @ vt[:k]
+            assert np.abs(approx.materialize() - ref).max() <= 1e-10 * s[0]
+        assert calls == [k, k]
+
+    def test_column_signs_follow_subspace_iteration(self):
+        # kmeans lexsorts the embedded rows with column 0 first, so that
+        # column's sign decides labels.  Where sigma_1 stands apart (q > 0),
+        # auto must give it the subspace loop's sign; unsigned ARPACK
+        # vectors disagree on some of these inputs.
+        cases = [(m, n, k, p, seed) for m, n in [(200, 400), (400, 200), (150, 90)]
+                 for k in (2, 3, 4) for p in (0.2, 0.45) for seed in range(3)]
+        for m, n, k, p, seed in cases:
+            a = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, 0.05)), m, seed).matrix
+            auto, sub = truncated_svd(a, k), truncated_svd(a, k, method="subspace")
+            assert np.allclose(auto.singular_values, sub.singular_values, rtol=1e-9)
+            assert auto.left_vectors[:, 0] @ sub.left_vectors[:, 0] > 0.99, (m, n, k, p, seed)
+            assert auto.right_vectors[:, 0] @ sub.right_vectors[:, 0] > 0.99
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_zero_input_returns_the_first_ritz_step(self, monkeypatch, k):
+        # ARPACK cannot start on a zero operator; the first Ritz step meets
+        # the tolerance there, and auto returns it as the loop does.
+        calls = counting_gram_svd(monkeypatch)
+        for a in (np.zeros((100, 80)), np.zeros((70, 300))):
+            auto, sub = truncated_svd(a, k), truncated_svd(a, k, method="subspace")
+            for name in ("left_vectors", "singular_values", "right_vectors"):
+                assert getattr(auto, name).tobytes() == getattr(sub, name).tobytes()
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [2, 4, 6])
+    def test_rank_deficient_inputs_match_lapack(self, monkeypatch, k):
+        # A random start basis does not hold the row space, so the first
+        # Ritz step is not exact on these and ARPACK runs, through the
+        # Gram operator's null space where the rank is below k.
+        calls = counting_gram_svd(monkeypatch)
+        rs = np.random.RandomState(41)
+        inputs = [
+            np.outer(rs.rand(100), rs.rand(80)),
+            rs.rand(200, 3) @ rs.rand(3, 300),
+            rs.rand(90, 8) @ rs.rand(8, 70),
+            np.ones((120, 90)),
+        ]
+        for a in inputs:
+            approx = truncated_svd(a, k)
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+            assert np.abs(approx.singular_values - s[:k]).max() <= 1e-14 * s[0]
+            ref = (u[:, :k] * s[:k]) @ vt[:k]
+            assert np.abs(approx.materialize() - ref).max() <= 1e-14 * s[0]
+        assert calls == [k] * len(inputs)
+
+    def test_arpack_failure_is_convergence_error(self, monkeypatch):
+        import scipy.sparse.linalg as sparse_linalg
+
+        def failing_eigsh(*args, **kwargs):
+            raise sparse_linalg.ArpackError(-9999)
+
+        monkeypatch.setattr(sparse_linalg, "eigsh", failing_eigsh)
+        with pytest.raises(ConvergenceError, match="truncated SVD: ARPACK error -9999"):
+            truncated_svd(random_matrix(0, 150, 120), 2)
+
+    @pytest.mark.parametrize("m, n", [(66, 80), (80, 66)])
+    def test_full_rank_k_runs_subspace_iteration(self, monkeypatch, m, n):
+        # ARPACK needs k < min(m, n); at k = min(m, n) auto is the loop.
+        calls = counting_gram_svd(monkeypatch)
+        a = random_matrix(m * n, m, n)
+        auto = truncated_svd(a, min(m, n))
+        sub = truncated_svd(a, min(m, n), method="subspace")
+        assert auto.materialize().tobytes() == sub.materialize().tobytes()
+        assert calls == []
 
 
 def cutover_inputs():
@@ -448,6 +554,11 @@ class TestOrthonormalColumns:
     def test_labels_match_gram_schmidt(self, monkeypatch, n, ps, seeds):
         # The QR that replaced Gram-Schmidt must not flip a column's sign:
         # k-means seeds from the lexsorted embedding, so a flip moves labels.
+        # n=400 clusters through subspace iteration, the oracle, and n=64
+        # through the Jacobi path.
+        method = "subspace" if n > linalg.JACOBI_CUTOVER else "auto"
+        real = truncated_svd
+        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method=method))
         cases = [(k, p, seed) for k in (2, 4) for p in ps for seed in seeds]
         data = [
             sample(bsbm_to_mixture(BsbmParams.balanced(400, n, k, p, 0.05)), 400, seed).matrix
@@ -494,15 +605,22 @@ class TestJacobi:
             assert v.tobytes() == ref_v.tobytes()
             assert v.flags.c_contiguous == ref_v.flags.c_contiguous
 
-    # 400x64 runs the Jacobi path, 400x400 the subspace path's Ritz step and
-    # 64x400 the transposed (wide) Jacobi branch, on the data and its halves.
-    @pytest.mark.parametrize("m, n", [(400, 64), (400, 400), (64, 400)], ids=["64", "400", "wide"])
-    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, m, n):
+    # 400x64 runs the Jacobi path, 400x400 subspace iteration's Ritz steps
+    # (the oracle) and 64x400 the transposed (wide) Jacobi branch, on the
+    # data and its halves.
+    @pytest.mark.parametrize(
+        "m, n, method",
+        [(400, 64, "auto"), (400, 400, "subspace"), (64, 400, "auto")],
+        ids=["64", "400", "wide"],
+    )
+    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, m, n, method):
+        real = truncated_svd
+        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method=method))
         data = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, 4, 0.45, 0.05)), m, 7).matrix
         labels = cluster(data, 4, 5)
-        approx = truncated_svd(data, 4)
+        approx = truncated_svd(data, 4, method=method)
         monkeypatch.setattr(linalg, "_jacobi_eigh", jacobi_eigh_reference)
-        ref_approx = truncated_svd(data, 4)
+        ref_approx = truncated_svd(data, 4, method=method)
         assert cluster(data, 4, 5).tobytes() == labels.tobytes()
         for name in ("left_vectors", "singular_values", "right_vectors"):
             assert getattr(approx, name).tobytes() == getattr(ref_approx, name).tobytes()

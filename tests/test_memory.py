@@ -138,16 +138,23 @@ def test_cluster_command_keeps_no_freed_half_resident(tmp_path):
     # tracemalloc sees a freed half copy as gone, but the allocator may keep
     # it resident.  The command peaks while it estimates the halves, so the
     # resident size is read just after the matching, which loads csgraph.
+    # The baseline makes one small call each of ARPACK's eigsh and LAPACK's
+    # svd, which the halves' SVD runs: their first calls map about 2 MB.
     # With one half buffer, dropped before the matching, the command holds
-    # about 1.14 matrices above its imports there; with the buffer dropped
-    # after the matching, about 1.64.
+    # about 1.15 matrices above that baseline there; with the buffer dropped
+    # after the matching, about 1.65.
     m = n = 2000
     ds = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, K, 0.3, 0.1)), m, 5)
     save_dataset(ds, tmp_path / "d")
     matrix_bytes = ds.matrix.nbytes
     del ds
     imports = resident_bytes(
-        "import specluster.cli, scipy.linalg.lapack, scipy.sparse.csgraph\nprint(resident())\n"
+        "import numpy as np, scipy.linalg, scipy.sparse.csgraph, scipy.sparse.linalg\n"
+        "import specluster.cli\n"
+        "gram = np.diag(np.arange(1.0, 21.0))\n"
+        "scipy.sparse.linalg.eigsh(gram, k=2)\n"
+        "scipy.linalg.svd(gram)\n"
+        "print(resident())\n"
     )
     at_matching = resident_bytes(
         "import sys\n"

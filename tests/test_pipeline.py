@@ -216,6 +216,36 @@ class TestCluster:
             exact += score(labels, ds.truth, 2).exact
         assert exact == 5
 
+    def test_labels_match_subspace_iteration(self, monkeypatch):
+        # Above the cutover the halves' SVD runs ARPACK, signed by the first
+        # Ritz step of subspace iteration.  Where sigma_1 stands apart
+        # (q > 0), the labels keep the loop's bytes.
+        cases = [(m, n, k, p, q, seed) for m, n in [(400, 400), (300, 150), (180, 600)]
+                 for k in (2, 3, 4) for p, q in [(0.2, 0.05), (0.45, 0.1)] for seed in (0, 1)]
+        data = [sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, q)), m, seed).matrix
+                for m, n, k, p, q, seed in cases]
+        labels = [cluster(a, case[2], case[5]) for a, case in zip(data, cases)]
+        real = pipeline.truncated_svd
+        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method="subspace"))
+        for a, case, got in zip(data, cases, labels):
+            assert cluster(a, case[2], case[5]).tobytes() == got.tobytes(), case
+
+    def test_jacobi_eigh_runs_once_per_half(self, monkeypatch):
+        # One Ritz step per half (it signs ARPACK's factors), where the
+        # subspace loop took about five.
+        real, calls = linalg._jacobi_eigh, []
+
+        def jacobi_eigh(sym):
+            calls.append(sym.shape)
+            return real(sym)
+
+        monkeypatch.setattr(linalg, "_jacobi_eigh", jacobi_eigh)
+        for seed in range(3):
+            a = sample(bsbm_to_mixture(BsbmParams.balanced(400, 400, 2, 0.2, 0.05)), 400, seed).matrix
+            cluster(a, 2, seed)
+            assert calls == [(10, 10)] * 2
+            calls.clear()
+
 
 class TestCenterSetType:
     def test_invariants(self):
