@@ -141,8 +141,8 @@ def test_cluster_command_keeps_no_freed_half_resident(tmp_path):
     # The baseline makes one small call each of ARPACK's eigsh and LAPACK's
     # svd, which the halves' SVD runs: their first calls map about 2 MB.
     # With one half buffer, dropped before the matching, the command holds
-    # about 1.15 matrices above that baseline there; with the buffer dropped
-    # after the matching, about 1.65.
+    # about 1.11 matrices above that baseline there; with the buffer dropped
+    # after the matching, about 1.62.
     m = n = 2000
     ds = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, K, 0.3, 0.1)), m, 5)
     save_dataset(ds, tmp_path / "d")
