@@ -396,14 +396,15 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
         size: the oracle that acceptance criterion 7 checks against.
 
     The result is deterministic: subspace iteration and ARPACK start from
-    bases derived from fixed internal keys, not from global random state,
-    and ARPACK's bytes do not depend on the CPU, thread or BLAS thread
-    count.  Where σ₁ stands apart from σ₂, "auto" gives σ₁'s pair the sign
-    "subspace" gives it; over the README's census of B-SBM inputs with
-    q > 0, ``cluster``'s labels kept every byte.  If subspace
-    iteration has not converged after ``MAX_ITER`` iterations, or ARPACK
-    fails, including running out of its ``MAX_ITER`` restarts, it raises
-    :class:`ConvergenceError`.
+    bases derived from fixed internal keys, ARPACK draws the restarts of a
+    rank-deficient input from a generator seeded by one, and neither reads
+    global random state or OS entropy.  ARPACK's bytes do not depend on the
+    CPU, thread or BLAS thread count.  Where σ₁ stands apart from σ₂,
+    "auto" gives σ₁'s pair the sign "subspace" gives it; over the README's
+    census of B-SBM inputs with q > 0, ``cluster``'s labels kept every
+    byte.  If subspace iteration has not converged after ``MAX_ITER``
+    iterations, or ARPACK fails, including running out of its ``MAX_ITER``
+    restarts, it raises :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -561,12 +562,13 @@ def _gram_svd(a: np.ndarray, k: int, tol: float):
     ``a`` is taken in its taller orientation, ``tall``, and cut into the
     row blocks of about ``_GRAM_BLOCK`` entries that :func:`rng.row_blocks`
     gives.  ``eigsh`` finds the top k eigenvectors of ``tallᵀ·tall`` at
-    ``tol``, from a start vector derived from a fixed internal key; as in
-    ``scipy.sparse.linalg.svds``, the triplets are then ``svd(tall·Q)`` of
-    the QR ``Q`` of those Ritz vectors, with right vectors ``Q·Wᵀ``.  Block
-    b computes ``A_bᵀ(A_b·x)`` into slot b, and the slots are summed in
-    block order.  The calling thread and a pool of ``threads - 1`` more,
-    which lives only for the call, take blocks t, t + threads, ...  Every
+    ``tol``, from a start vector and a restart generator derived from a
+    fixed internal key; as in ``scipy.sparse.linalg.svds``, the triplets
+    are then ``svd(tall·Q)`` of the QR ``Q`` of those Ritz vectors, with
+    right vectors ``Q·Wᵀ``.  Block b computes ``A_bᵀ(A_b·x)`` into slot b,
+    and the slots are summed in block order.  The calling thread and a pool
+    of ``threads - 1`` more, which lives only for the call, take blocks t,
+    t + threads, ...  Every
     OpenBLAS found in ``/proc/self/maps`` runs on one thread meanwhile, so
     the bytes depend on the shape alone.  ARPACK failures raise
     ``scipy.sparse.linalg.ArpackError``.
@@ -602,7 +604,12 @@ def _gram_svd(a: np.ndarray, k: int, tol: float):
     # One thread submits nothing, so its pool starts no thread.
     with _blas_on_one_thread(), ThreadPoolExecutor(max(threads - 1, 1)) as pool:
         op = sparse_linalg.LinearOperator((small, small), matvec=gram, dtype=np.float64)
-        _, vec = sparse_linalg.eigsh(op, k=k, tol=tol, maxiter=MAX_ITER, v0=v0)
+        # Where the Krylov space runs out (Gram rank below ARPACK's basis
+        # size), ARPACK restarts from a vector drawn from ``rng``; without a
+        # seeded generator scipy draws it from OS entropy, and the spare
+        # columns of a rank-deficient input change from run to run.
+        restarts = np.random.default_rng(v0_key)
+        _, vec = sparse_linalg.eigsh(op, k=k, tol=tol, maxiter=MAX_ITER, v0=v0, rng=restarts)
         vec, _ = np.linalg.qr(vec)
         u, s, wt = svd(tall @ vec, full_matrices=False, overwrite_a=True)
     v = vec @ wt.T

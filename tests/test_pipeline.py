@@ -230,6 +230,30 @@ class TestCluster:
         for a, case, got in zip(data, cases, labels):
             assert cluster(a, case[2], case[5]).tobytes() == got.tobytes(), case
 
+    def test_rank_deficient_labels_agree_across_processes(self):
+        # Three distinct 0/1 rows at k = 4 and 6: the spare singular
+        # columns come from ARPACK's restart draws, and embed as ~1e-16
+        # noise columns.  Two fresh interpreters must give equal labels.
+        script = (
+            "import numpy as np\n"
+            "from specluster import cluster\n"
+            "for seed in range(4):\n"
+            "    rs = np.random.RandomState(seed)\n"
+            "    rows = (rs.rand(3, 400) < 0.3).astype(float)\n"
+            "    a = rows[rs.randint(0, 3, 400)]\n"
+            "    for k in (4, 6):\n"
+            "        print(seed, k, cluster(a, k, seed).tobytes().hex())\n"
+        )
+        printed = []
+        for _ in range(2):
+            proc = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+                env=cli_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            printed.append(proc.stdout.splitlines())
+        assert len(printed[0]) == 8 and printed[0] == printed[1]
+
     def test_jacobi_eigh_runs_once_per_half(self, monkeypatch):
         # One Ritz step per half (it signs ARPACK's factors), where the
         # subspace loop took about five.
