@@ -147,7 +147,8 @@ def cmd_cluster(args) -> int:
         print(f"warning: {empty} of the {args.k} clusters are empty", file=sys.stderr)
     out: dict = {"labels_path": str(args.out)}
     if dataset.truth is not None:
-        out.update(score(detail.labels, dataset.truth, args.k).to_json())
+        k = max(args.k, int(dataset.truth.max()) + 1)  # the truth may have more clusters
+        out.update(score(detail.labels, dataset.truth, k).to_json())
     if args.diagnostics:
         out["diagnostics"] = {
             "match_ambiguous": detail.match_ambiguous,

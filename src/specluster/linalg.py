@@ -38,10 +38,11 @@ The module also holds the process plumbing that the parallel paths share:
 ``_cpus``, the CPUs this process may use (the affinity mask, or 1 in a
 forked sweep worker), which decides both whether ARPACK's Gram products
 run their blocks on threads and whether ``pipeline.cluster_detailed``
-forks a child for its second half; ``_can_fork``; and
+forks a child for the second of its Jacobi halves; ``_can_fork``; and
 ``_blas_on_one_thread``, which pins every loaded OpenBLAS to one thread
-while either runs, so that their bytes do not depend on the BLAS thread
-count.
+around the Gram products, so their bytes do not depend on the BLAS thread
+count, and around each of cluster's center estimates, so idle BLAS threads
+do not spin against the Gram threads.
 """
 
 from __future__ import annotations

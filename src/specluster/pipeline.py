@@ -5,7 +5,8 @@ SVD, k-means on the projected rows, then averaging of the original rows per
 cluster).  ``assign`` labels rows by the nearest estimated center.
 ``cluster`` splits the data into two seeded halves, runs centers/assignment
 cross-wise, and merges the two labelings after matching the center sets.
-Where it pays, the second half's centers are estimated in a forked child
+Both halves' centers are estimated with OpenBLAS on one thread; for halves
+on the Jacobi path, the second half's are estimated in a forked child
 process while the parent estimates the first half's (see
 ``cluster_detailed``).
 """
@@ -164,19 +165,16 @@ def assign(matrix, centers) -> np.ndarray:
 def _split_pays(shape: tuple[int, int]) -> bool:
     """Whether cluster's second half should run in a forked child.
 
-    It must pay: the halves take the Jacobi path with at least
-    ``_SPLIT_MIN_JACOBI`` rows and columns, or the input holds more than
-    one ``_GRAM_BLOCK`` of entries, the size at which ARPACK's Gram
-    products go parallel.  And it must be safe: the platform can fork, the process
-    may use more than one CPU (sweep workers count one), and no other
-    Python thread is alive, since a lock it holds would stay held in the
-    child.
+    It must pay: the halves take the Python-bound Jacobi path with at least
+    ``_SPLIT_MIN_JACOBI`` rows and columns (larger halves run ARPACK, which
+    puts Gram products of more than one row block on threads).  And it must
+    be safe: the platform can fork, the process may use more than one CPU
+    (sweep workers count one), and no other Python thread is alive, since a
+    lock it holds would stay held in the child.
     """
     m, n = shape
-    small = min((m + 1) // 2, n)
-    jacobi = _SPLIT_MIN_JACOBI <= small <= linalg.JACOBI_CUTOVER
     return (
-        (jacobi or m * n > linalg._GRAM_BLOCK)
+        _SPLIT_MIN_JACOBI <= min((m + 1) // 2, n) <= linalg.JACOBI_CUTOVER
         and linalg._can_fork()
         and (linalg._cpus or linalg._usable_cpus()) > 1
         and threading.active_count() == 1
@@ -239,11 +237,11 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
     """:func:`cluster` with the halves, both center sets and the matching.
 
     The two halves' centers are independent, as in the cross-split scheme
-    the paper analyses.  Where :func:`_split_pays`, the second half's are
-    estimated in a forked child while this process estimates the first
-    half's, with every OpenBLAS on one thread.  The child computes exactly
-    what this process would, so no output depends on where it ran, and a
-    first-half error is raised before a second-half one, as inline.
+    the paper analyses.  Both are estimated with every OpenBLAS on one
+    thread; where :func:`_split_pays`, the second half's are estimated in a
+    forked child while this process estimates the first half's.  The child
+    computes exactly what this process would, so no output depends on where
+    it ran, and a first-half error is raised before a second-half one.
 
     Each of the four uses of a half (two center estimates, two assignments)
     gathers its rows into one C-ordered buffer of ceil(m/2) rows, allocated
@@ -268,11 +266,11 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
     def centers(rows: np.ndarray, half: int) -> CentersDetail:
         return find_centers_detailed(gather(rows), k, rng.mix64(seed, rng.TAG_HALF, half))
 
-    if _split_pays(a.shape):
-        with linalg._blas_on_one_thread():
+    with linalg._blas_on_one_thread():
+        if _split_pays(a.shape):
             d1, d2 = _in_two_processes(centers, (first, 0), (second, 1))
-    else:
-        d1, d2 = centers(first, 0), centers(second, 1)
+        else:
+            d1, d2 = centers(first, 0), centers(second, 1)
 
     labels_second = assign(gather(second), d1.center_set)
     labels_first_raw = assign(gather(first), d2.center_set)

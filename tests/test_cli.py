@@ -229,6 +229,22 @@ class TestCluster:
         assert out["diagnostics"]["match_ambiguous"] is False
         assert out["diagnostics"]["half_sizes"] == [8, 8]
 
+    def test_k_below_the_truth_clusters_scores(self, tmp_path):
+        # Three true clusters clustered into two: the labels are scored on
+        # a 3 x 3 confusion matrix and cannot be exact.
+        prefix = tmp_path / "three"
+        generate = run_cli(
+            "generate", "--bsbm", "m=200,n=200,k=3,p=0.3,q=0.1", "--out", str(prefix)
+        )
+        assert generate.returncode == 0, generate.stderr
+        labels_path = tmp_path / "labels.json"
+        proc = run_cli("cluster", "--data", str(prefix), "--k", "2", "--out", str(labels_path))
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out["exact"] is False
+        assert np.array(out["confusion"]).shape == (3, 3)
+        assert max(json.loads(labels_path.read_text())) <= 1
+
     def test_k_too_large_exits_2(self, tmp_path):
         prefix = generate_noiseless(tmp_path, m=16, k=2)
         proc = run_cli(

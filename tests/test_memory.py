@@ -82,9 +82,9 @@ def test_matrix_market_read_converts_once(dataset, tmp_path):
 
 
 def test_cluster_detailed_holds_a_half_beyond_its_input(dataset):
-    # 1000 x 1000 is less than one _GRAM_BLOCK, so both halves run in this
-    # process.  Each cluster is averaged by row blocks, not through a copy
-    # of its rows.
+    # 1000 x 1000 has halves above JACOBI_CUTOVER, which do not fork, so
+    # both run in this process.  Each cluster is averaged by row blocks, not
+    # through a copy of its rows.
     ds, _ = dataset
     assert not pipeline._split_pays(ds.matrix.shape)
     assert traced_peak(cluster_detailed, ds.matrix, K, 1) <= 0.65 * ds.matrix.nbytes

@@ -315,8 +315,8 @@ def failing_halves(monkeypatch, seed, errors):
 
 
 class TestSecondProcess:
-    """Where it pays, cluster_detailed estimates the second half's centers in
-    a forked child.  No output may depend on whether it did."""
+    """For Jacobi halves, cluster_detailed estimates the second half's
+    centers in a forked child.  No output may depend on whether it did."""
 
     @pytest.fixture(autouse=True)
     def forks(self, monkeypatch):
@@ -333,9 +333,9 @@ class TestSecondProcess:
         yield counted
         assert_no_child_left()
 
-    @pytest.mark.parametrize("m, n, k", [(400, 64, 2), (64, 400, 3), (1200, 1000, 2)])
+    @pytest.mark.parametrize("m, n, k", [(400, 64, 2), (64, 400, 3)])
     def test_split_matches_inline_bytes(self, monkeypatch, forks, m, n, k):
-        # A tall and a wide input on the Jacobi path, and one of two blocks.
+        # A tall and a wide input on the Jacobi path.
         a = bsbm_matrix(m, n, k)
         split = cluster_detailed(a, k, 5)
         assert len(forks) == 1
@@ -485,10 +485,44 @@ class TestSecondProcess:
         assert a.flags.f_contiguous == (order == "F")
         assert a.tobytes(order="A") == before.tobytes(order="A")
 
-    @pytest.mark.parametrize("m, n", [(400, 400), (200, 200), (400, 16), (38, 64), (2000, 8)])
-    def test_no_fork_below_the_size_rule(self, forks, m, n):
+    @pytest.mark.parametrize(
+        "m, n",
+        [(400, 400), (200, 200), (400, 16), (38, 64), (2000, 8), (1200, 1000), (2000, 2000)],
+    )
+    def test_no_fork_outside_the_jacobi_rule(self, forks, m, n):
+        # Halves below _SPLIT_MIN_JACOBI take less time than the fork, and
+        # halves above JACOBI_CUTOVER run ARPACK on Gram threads instead.
         cluster_detailed(bsbm_matrix(m, n, 2), 2, 1)
         assert forks == []
+
+    @pytest.mark.parametrize("m, n, cpus", [(1200, 1000, None), (400, 64, 1)])
+    def test_inline_halves_run_blas_on_one_thread(self, monkeypatch, forks, m, n, cpus):
+        # OpenBLAS on two threads: both inline center estimates, above the
+        # cutover or on one CPU, must see every OpenBLAS on one thread, and
+        # the two must be restored after.
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("numpy does not use OpenBLAS here")
+        monkeypatch.setattr(linalg, "_cpus", cpus)
+        saved = [get() for get, _ in controls]
+        seen = []
+        real = pipeline.find_centers_detailed
+
+        def find(a, k, seed):
+            seen.append([get() for get, _ in controls])
+            return real(a, k, seed)
+
+        monkeypatch.setattr(pipeline, "find_centers_detailed", find)
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            cluster_detailed(bsbm_matrix(m, n, 2), 2, 1)
+            assert [get() for get, _ in controls] == [2] * len(controls)
+        finally:
+            for (_, set_threads), count in zip(controls, saved):
+                set_threads(count)
+        assert forks == []
+        assert seen == [[1] * len(controls)] * 2
 
     def test_no_fork_on_one_cpu(self, monkeypatch, forks):
         monkeypatch.setattr(linalg, "_usable_cpus", lambda: 1)
@@ -536,9 +570,9 @@ class TestSecondProcess:
         assert run_sweep(spec, workers=2).records == inline.records
 
     def test_labels_do_not_depend_on_blas_threads(self):
-        # Each child process clusters a Jacobi and a two-block input with
-        # the split and inline; all four label sets must agree across
-        # OPENBLAS_NUM_THREADS=1 and =2.
+        # Each child process clusters a Jacobi input, split and inline, and
+        # a 1200 x 1000 input, inline on both CPU counts; all four label sets
+        # must agree across OPENBLAS_NUM_THREADS=1 and =2.
         script = (
             "from specluster import BsbmParams, bsbm_to_mixture, cluster, linalg, pipeline, sample\n"
             "linalg._usable_cpus = lambda: 2\n"
@@ -546,7 +580,7 @@ class TestSecondProcess:
             "    a = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, 0.3, 0.1)), m, 0).matrix\n"
             "    for cpus in (None, 1):\n"
             "        linalg._cpus = cpus\n"
-            "        assert pipeline._split_pays(a.shape) == (cpus is None)\n"
+            "        assert pipeline._split_pays(a.shape) == (cpus is None and n == 64)\n"
             "        print(m, n, cluster(a, k, 5).tobytes().hex())\n"
             "    linalg._cpus = None\n"
         )
