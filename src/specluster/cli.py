@@ -32,21 +32,15 @@ from .errors import ConvergenceError, InvalidInputError, SpeclusterError
 from .linalg import spectral_norm
 from .models import (
     BSBM_KEYS,
-    MIXTURE_KEYS,
     BinaryDataset,
-    BsbmParams,
-    MixtureModel,
-    bsbm_from_spec,
-    bsbm_to_mixture,
     check_keys,
     load_dataset,
-    mixture_from_spec,
+    model_from_spec,
     noise_matrix,
     read_json,
     sample,
     save_dataset,
     spec_value,
-    strict_int,
 )
 from .pipeline import cluster_detailed
 
@@ -89,18 +83,11 @@ def _parse_kv(text: str) -> dict:
     return out
 
 
-def _model_from_file(path) -> tuple[MixtureModel, int, BsbmParams | None]:
+def _model_from_file(path):
+    """:func:`model_from_spec` of the JSON model file ``path``, by its ``kind``."""
     obj = read_json(path, "model file")
     where = f"model file {path}"
-    kind = spec_value(obj, "kind", str, where)
-    if kind == "bsbm":
-        check_keys(obj, ("kind", *BSBM_KEYS), where)
-        params = bsbm_from_spec(obj, where)
-        return bsbm_to_mixture(params), params.m, params
-    if kind == "mixture":
-        check_keys(obj, ("kind", "m", *MIXTURE_KEYS), where)
-        return mixture_from_spec(obj, where), spec_value(obj, "m", strict_int, where), None
-    raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
+    return model_from_spec(obj, spec_value(obj, "kind", str, where), where, ("kind",))
 
 
 def _report_over_matrix(dataset: BinaryDataset) -> dict:
@@ -120,8 +107,7 @@ def cmd_generate(args) -> int:
     if args.bsbm is not None:
         spec = _parse_kv(args.bsbm)
         check_keys(spec, BSBM_KEYS[:5], "--bsbm")
-        params = bsbm_from_spec(spec, "--bsbm")
-        model, m, bsbm = bsbm_to_mixture(params), params.m, params
+        model, m, bsbm = model_from_spec(spec, "bsbm", "--bsbm")
     else:
         model, m, bsbm = _model_from_file(args.model)
     dataset = sample(model, m, seed)

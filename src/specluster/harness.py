@@ -40,13 +40,9 @@ from .linalg import (
     spectral_norm,
 )
 from .models import (
-    BSBM_KEYS,
-    MIXTURE_KEYS,
     BinaryDataset,
-    bsbm_from_spec,
-    bsbm_to_mixture,
     check_keys,
-    mixture_from_spec,
+    model_from_spec,
     noise_matrix,
     read_json,
     sample,
@@ -90,16 +86,20 @@ DIAGNOSTICS = tuple(_DIAG_COLUMNS)
 
 _BASE_COLUMNS = ("trials", "exact_count", "mean_accuracy")
 
+# The model spec kind of each sweep family.
+_FAMILY_KINDS = {"bsbm": "bsbm", "general": "mixture"}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
     """Declarative description of one sweep.
 
     ``axes`` maps parameter names to value lists; cells are the cartesian
-    product of the axes merged over ``fixed``.  ``family`` selects the model
-    builder: "bsbm" (parameters m, n, k, p, q; balanced clusters unless
-    left_sizes and right_assignment are given, as in a model file) or
-    "general" (parameters m, means, weights, and optionally sigma_sq).
+    product of the axes merged with ``fixed``, which may name no axis.
+    ``family`` selects the model builder: "bsbm" (parameters m, n, k, p, q;
+    balanced clusters unless left_sizes and right_assignment are given, as
+    in a model file) or "general" (parameters m, means, weights, and
+    optionally sigma_sq).
     """
 
     family: str
@@ -118,6 +118,8 @@ class SweepSpec:
         for name, values in self.axes.items():
             if not isinstance(values, (list, tuple)) or not values:
                 raise InvalidInputError(f"axis {name!r} must be a nonempty list")
+            if name in self.fixed:
+                raise InvalidInputError(f"{name!r} is both a grid axis and a fixed parameter")
         for name in ("trials_per_cell", "margin_draws"):
             object.__setattr__(self, name, as_count(getattr(self, name), name, 1))
         object.__setattr__(self, "base_seed", as_int(self.base_seed, "base_seed"))
@@ -172,20 +174,10 @@ def derive(base_seed: int, cell: int, trial: int) -> int:
 
 
 def build_cell(family: str, params: dict):
-    """Validate one cell and return (model, m, k, bsbm-or-None).
-
-    A cell takes only its family's keys, as a model file does, so a typo
-    or a parameter named like a CSV column raises InvalidInputError once
-    the values are checked.
-    """
-    where = f"cell {params}"
-    if family == "bsbm":
-        bsbm = bsbm_from_spec(params, where)
-        check_keys(params, BSBM_KEYS, where)
-        return bsbm_to_mixture(bsbm), bsbm.m, bsbm.k, bsbm
-    model = mixture_from_spec(params, where)
-    check_keys(params, ("m", *MIXTURE_KEYS), where)
-    return model, spec_value(params, "m", strict_int, where), model.k, None
+    """(model, m, bsbm-or-None) of one cell, read as a model file of its
+    family is, without ``kind``: a typo or a parameter named like a CSV
+    column raises InvalidInputError once the values are checked."""
+    return model_from_spec(params, _FAMILY_KINDS[family], f"cell {params}")
 
 
 @dataclass(frozen=True)
@@ -218,7 +210,8 @@ class SweepResult:
 
 
 def run_trial(spec: SweepSpec, params: dict, trial: int) -> TrialRecord:
-    model, m, k, bsbm = build_cell(spec.family, params)
+    model, m, bsbm = build_cell(spec.family, params)
+    k = model.k
     seed = derive(spec.base_seed, cell_index(params), trial)
     dataset = sample(model, m, seed)
     dataset.bsbm = bsbm

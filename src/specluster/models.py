@@ -519,29 +519,42 @@ def strict_int(value) -> int:
     return operator.index(value)
 
 
+def _strict_float(value) -> float:
+    """``float(value)``, a decimal string included; a bool raises TypeError,
+    as in :func:`strict_int` (``float(False)`` would read it as 0.0)."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 _float_array = partial(np.asarray, dtype=np.float64)
 
 
 def _int_array(value) -> np.ndarray:
+    """A list of :func:`strict_int` values; a JSON string or object raises
+    TypeError rather than being read one character or key at a time."""
+    if isinstance(value, (str, dict)):
+        raise TypeError(f"expected a list of integers, got {type(value).__name__}")
     return np.asarray([strict_int(v) for v in value], dtype=np.int64)
-
-
-def mixture_from_spec(spec: dict, where: str) -> MixtureModel:
-    """Mixture from a JSON spec's ``means``, ``weights`` and optional ``sigma_sq``."""
-    means = spec_value(spec, "means", _float_array, where)
-    weights = spec_value(spec, "weights", _float_array, where)
-    sigma_sq = spec.get("sigma_sq")  # spec is an object: spec_value checked it
-    return MixtureModel(
-        means,
-        weights,
-        sigma_sq=None if sigma_sq is None else spec_value(spec, "sigma_sq", float, where),
-    )
 
 
 # Keys of a B-SBM and of a mixture spec.  The B-SBM's two list-valued keys
 # come last: an inline ``key=value`` spec cannot hold them.
 BSBM_KEYS = ("m", "n", "k", "p", "q", "left_sizes", "right_assignment")
 MIXTURE_KEYS = ("means", "weights", "sigma_sq")
+
+
+def mixture_from_spec(spec: dict, where: str, extra=()) -> MixtureModel:
+    """Mixture from a JSON spec's ``means``, ``weights`` and optional
+    ``sigma_sq``; then any key outside these and ``extra`` is rejected."""
+    means = spec_value(spec, "means", _float_array, where)
+    weights = spec_value(spec, "weights", _float_array, where)
+    sigma_sq = spec.get("sigma_sq")  # spec is an object: spec_value checked it
+    if sigma_sq is not None:
+        sigma_sq = spec_value(spec, "sigma_sq", _strict_float, where)
+    model = MixtureModel(means, weights, sigma_sq=sigma_sq)
+    check_keys(spec, (*MIXTURE_KEYS, *extra), where)
+    return model
 
 
 def _bsbm_to_json(params: BsbmParams) -> dict:
@@ -556,25 +569,40 @@ def _bsbm_to_json(params: BsbmParams) -> dict:
     }
 
 
-def bsbm_from_spec(spec: dict, where: str) -> BsbmParams:
-    """B-SBM from a JSON spec's m, n, k, p and q.
+def bsbm_from_spec(spec: dict, where: str, extra=()) -> BsbmParams:
+    """B-SBM from a JSON spec's m, n, k, p and q; then any key outside
+    ``BSBM_KEYS`` and ``extra`` is rejected.
 
     With ``left_sizes`` or ``right_assignment`` present both are read;
     otherwise the clusters are balanced (:meth:`BsbmParams.balanced`).
     """
     m, n, k = (spec_value(spec, key, strict_int, where) for key in ("m", "n", "k"))
-    p, q = (spec_value(spec, key, float, where) for key in ("p", "q"))
+    p, q = (spec_value(spec, key, _strict_float, where) for key in ("p", "q"))
     if "left_sizes" not in spec and "right_assignment" not in spec:
-        return BsbmParams.balanced(m, n, k, p, q)
-    return BsbmParams(
-        m=m,
-        n=n,
-        k=k,
-        p=p,
-        q=q,
-        left_sizes=spec_value(spec, "left_sizes", _int_array, where),
-        right_assignment=spec_value(spec, "right_assignment", _int_array, where),
-    )
+        params = BsbmParams.balanced(m, n, k, p, q)
+    else:
+        left_sizes, right_assignment = (
+            spec_value(spec, key, _int_array, where) for key in BSBM_KEYS[5:]
+        )
+        params = BsbmParams(m, n, k, p, q, left_sizes, right_assignment)
+    check_keys(spec, (*BSBM_KEYS, *extra), where)
+    return params
+
+
+def model_from_spec(spec, kind: str, where: str, extra=()):
+    """``(model, m, bsbm or None)`` of a "bsbm" or "mixture" spec, which may
+    hold the keys ``extra`` besides its family's (and ``m`` for a mixture).
+
+    The one reader of model files, sweep cells and inline ``--bsbm``: every
+    value is checked before the keys.
+    """
+    if kind == "bsbm":
+        params = bsbm_from_spec(spec, where, extra)
+        return bsbm_to_mixture(params), params.m, params
+    if kind == "mixture":
+        m = spec_value(spec, "m", strict_int, where)
+        return mixture_from_spec(spec, where, ("m", *extra)), m, None
+    raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
 
 def dataset_paths(prefix) -> tuple[Path, Path]:
@@ -637,10 +665,8 @@ def load_dataset(prefix) -> BinaryDataset:
         if sidecar.get("truth") is not None:
             truth = spec_value(sidecar, "truth", _int_array, where)
         if sidecar.get("model") is not None:
-            check_keys(sidecar["model"], MIXTURE_KEYS, f"{where} model")
             model = mixture_from_spec(sidecar["model"], f"{where} model")
         if sidecar.get("bsbm") is not None:
-            check_keys(sidecar["bsbm"], BSBM_KEYS, f"{where} bsbm")
             bsbm = bsbm_from_spec(sidecar["bsbm"], f"{where} bsbm")
     return BinaryDataset(
         matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed, _binary=binary

@@ -136,6 +136,27 @@ class TestGenerate:
                  "m": 4, "p": 0.4},
                 ": unknown key 'p'",
             ),
+            # A string was read one character at a time: left_sizes [5, 5].
+            (
+                {"kind": "bsbm", "m": 10, "n": 4, "k": 2, "p": 0.4, "q": 0.1,
+                 "left_sizes": "55", "right_assignment": [0, 0, 1, 1]},
+                ": bad value for 'left_sizes': expected a list of integers, got str",
+            ),
+            (
+                {"kind": "bsbm", "m": 10, "n": 4, "k": 2, "p": 0.4, "q": 0.1,
+                 "left_sizes": [5, 5], "right_assignment": "0011"},
+                ": bad value for 'right_assignment'",
+            ),
+            # A bool was read as 0.0 or 1.0.
+            (
+                {"kind": "bsbm", "m": 40, "n": 40, "k": 2, "p": 0.4, "q": False},
+                ": bad value for 'q': expected a number, got False",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, 0.5],
+                 "sigma_sq": True, "m": 4},
+                ": bad value for 'sigma_sq': expected a number, got True",
+            ),
         ],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, model, field):
@@ -304,6 +325,11 @@ class TestCheck:
             ({"truth": [0.5] * 16}, "bad value for 'truth'"),
             ({"seed": "not a seed"}, "bad value for 'seed'"),
             ({"seed": 2.5}, "bad value for 'seed'"),
+            ({"truth": "0" * 8 + "1" * 8}, "bad value for 'truth'"),
+            (
+                {"bsbm": {**bsbm, "q": 0.1, "left_sizes": "88", "right_assignment": [0, 1] * 3}},
+                "bad value for 'left_sizes'",
+            ),
         ]:
             (tmp_path / "noiseless.json").write_text(json.dumps({**sidecar, **update}))
             for command in (["check"], ["cluster", "--k", "2", "--out", str(tmp_path / "l")]):
@@ -574,11 +600,35 @@ class TestSweep:
             (general(weights=[math.nan, math.nan]), "weights must be finite"),
             ({"diagnostic": ["conditions"]}, ": unknown key 'diagnostic'"),
             ({"margin_draw": 5}, ": unknown key 'margin_draw'"),
+            (
+                {"fixed": {**fixed, "left_sizes": "88", "right_assignment": [0] * 6 + [1] * 6}},
+                "bad value for 'left_sizes'",
+            ),
+            ({"fixed": {**fixed, "q": False}}, "bad value for 'q'"),
+            (general(sigma_sq=True), "bad value for 'sigma_sq'"),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
             assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
             assert message in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
+
+    def test_axis_named_in_fixed_exits_2(self, tmp_path, monkeypatch, capsys):
+        # The axis used to win silently: p = 0.3 ran, and the fixed p = 0.1 never did.
+        from specluster import harness
+        from specluster.cli import main
+
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({
+            "family": "bsbm", "axes": {"p": [0.3]},
+            "fixed": {"m": 16, "n": 12, "k": 2, "p": 0.1, "q": 0.05}, "trials_per_cell": 1,
+        }))
+        assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
+        assert "'p' is both a grid axis and a fixed parameter" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_exits_2(self, tmp_path, workers):
@@ -680,6 +730,97 @@ class TestRoundTrip:
 
         save_dataset(ds, tmp_path / "again")
         assert (tmp_path / "again.mtx").read_bytes() == (tmp_path / "cycle.mtx").read_bytes()
+
+
+# One valid spec of each family, in model-file keys without "kind".
+SPECS = {
+    "bsbm": {"m": 12, "n": 6, "k": 2, "p": 0.4, "q": 0.1, "left_sizes": [4, 8],
+             "right_assignment": [0, 1, 0, 1, 1, 0]},
+    "mixture": {"m": 8, "means": [[1, 0.5, 0], [0, 0.5, 1]], "weights": [0.25, 0.75],
+                "sigma_sq": 1.0},
+}
+
+
+class TestSpecReaders:
+    """A model file, a sweep cell and a sidecar read one spec alike."""
+
+    @staticmethod
+    def readers(tmp_path, kind, spec):
+        """Each entry point's reader of ``spec`` as (where, read), where ``read``
+        returns the (model, bsbm) it builds."""
+        from specluster import SweepSpec, bsbm_to_mixture, load_dataset
+        from specluster.cli import _model_from_file
+        from specluster.harness import build_cell
+        from specluster.models import write_matrix_market
+
+        model_file = tmp_path / "model.json"
+        model_file.write_text(json.dumps({"kind": kind, **spec}))
+
+        family = "general" if kind == "mixture" else kind
+        fixed = {key: value for key, value in spec.items() if key != "m"}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(
+            {"family": family, "axes": {"m": [spec["m"]]}, "fixed": fixed, "trials_per_cell": 1}
+        ))
+        cell = SweepSpec.from_json(spec_file).cells()[0]
+
+        # A sidecar holds a B-SBM whole, and a mixture without m.
+        part = "bsbm" if kind == "bsbm" else "model"
+        write_matrix_market(tmp_path / "d.mtx", np.zeros((spec["m"], 1)))
+        (tmp_path / "d.json").write_text(json.dumps({part: spec if kind == "bsbm" else fixed}))
+
+        def from_sidecar():
+            dataset = load_dataset(tmp_path / "d")
+            if dataset.bsbm is None:
+                return dataset.model, None
+            return bsbm_to_mixture(dataset.bsbm), dataset.bsbm
+
+        return [
+            (f"model file {model_file}", lambda: _model_from_file(model_file)[::2]),
+            (f"cell {cell}", lambda: build_cell(family, cell)[::2]),
+            (f"sidecar {tmp_path / 'd.json'} {part}", from_sidecar),
+        ]
+
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    def test_same_model_at_every_entry(self, tmp_path, kind):
+        def fingerprint(model, bsbm):
+            out = [model.means.tobytes(), model.weights.tobytes(), repr(model.sigma_sq)]
+            if bsbm is not None:
+                out += [bsbm.m, bsbm.n, bsbm.k, repr(bsbm.p), repr(bsbm.q), bsbm.left_sizes,
+                        bsbm.right_assignment.tobytes()]
+            return out
+
+        prints = [fingerprint(*read()) for _, read in self.readers(tmp_path, kind, SPECS[kind])]
+        assert prints[0] == prints[1] == prints[2]
+
+    @pytest.mark.parametrize("kind, update, message", [
+        ("bsbm", {"q": None}, "missing 'q'"),
+        ("bsbm", {"q": False}, "bad value for 'q'"),
+        ("bsbm", {"p": 0.7}, "p and q must lie in [0, 0.5]"),
+        ("bsbm", {"left_sizes": "48"}, "bad value for 'left_sizes'"),
+        ("bsbm", {"right_assignment": [0, 1, 0, 1, 1, 2]}, "labels must lie in [0, k)"),
+        ("bsbm", {"left_size": [4, 8]}, "unknown key 'left_size'"),
+        ("mixture", {"weights": None}, "missing 'weights'"),
+        ("mixture", {"sigma_sq": True}, "bad value for 'sigma_sq'"),
+        ("mixture", {"weights": [0.5, 0.6]}, "weights must sum to 1"),
+        ("mixture", {"sigma": 1.0}, "unknown key 'sigma'"),
+        # Values come before keys: the bad value is named, not the unknown key.
+        ("bsbm", {"q": "x", "trials": 1}, "bad value for 'q'"),
+        ("mixture", {"means": "x", "k": 2}, "bad value for 'means'"),
+    ])
+    def test_same_message_at_every_entry(self, tmp_path, kind, update, message):
+        from specluster import InvalidInputError
+
+        spec = {**SPECS[kind], **update}
+        spec = {key: value for key, value in spec.items() if value is not None}
+        messages = set()
+        for where, read in self.readers(tmp_path, kind, spec):
+            with pytest.raises(InvalidInputError) as error:
+                read()
+            text = str(error.value)
+            messages.add(text.removeprefix(f"{where}: "))
+        assert len(messages) == 1, messages
+        assert message in messages.pop()
 
 
 class TestEntry:
