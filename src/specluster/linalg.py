@@ -1,36 +1,35 @@
 """Dense linear-algebra kernels: truncated SVD, norms, squared distances and
 center matching.
 
-The truncated SVD is ``jacobi_svd`` when the small dimension is at most
-``JACOBI_CUTOVER``.  Above it, for k below the small dimension, it is
-ARPACK on the Gram operator AᵀA (AAᵀ for a wide input), computed to machine
-precision, whose pairs take their signs from the first Rayleigh-Ritz step of
-subspace iteration: ``kmeans`` lexsorts the embedded rows, so a sign reaches
-the labels, and with these signs the labels keep the bytes subspace
-iteration gave (see ``_arpack_svd``).  Subspace iteration, block power
-iteration re-orthonormalized by LAPACK's Householder QR, stays as
-``method="subspace"``, the oracle of acceptance criterion 7, and as the
-``auto`` path when k equals the small dimension.  ``jacobi_svd`` is the one
-small-SVD kernel: a cyclic Jacobi eigendecomposition of the smaller Gram
-matrix.  The Rayleigh-Ritz step of subspace iteration is ``jacobi_svd(A·V)``,
-so the two share that kernel and neither is an independent oracle for the
-other; LAPACK is the oracle of all three paths in the tests.  The Jacobi
-kernel is checked on its own against numpy's ``eigh`` and, bit for bit,
-against the textbook loop in ``tests/oracles.py``: each rotation runs in
-place on a two-row and a two-column view.  The QR signs its columns as the
-Gram-Schmidt loop there does.  The spectral norm decides no label, so it
-runs on LAPACK for small inputs and, for large ones, on the same ARPACK
-kernel for the top triplet alone, stopped at a relative residual of 1e-8
-rather than machine precision: σ₁'s relative error is at worst about 1e-8.
-Each Gram product AᵀA·x is computed by fixed row blocks of ``_GRAM_BLOCK``
-(2²⁰) entries, on every usable CPU, and the blocks are summed in order, so
-ARPACK's bytes do not depend on the CPU, thread or BLAS thread count.
+The truncated SVD is ``jacobi_svd``, a cyclic Jacobi eigendecomposition of
+the explicit smaller Gram matrix AᵀA (AAᵀ for a wide input), when the small
+dimension is at most ``JACOBI_CUTOVER`` or k equals it.  Otherwise it is
+ARPACK on the blocked Gram operator, computed to machine precision, whose
+pairs take their signs from the first Rayleigh-Ritz step of subspace
+iteration: ``kmeans`` lexsorts the embedded rows, so a sign reaches the
+labels, and with these signs the labels keep the bytes subspace iteration
+gave (see ``_arpack_svd``).  Subspace iteration, block power iteration
+re-orthonormalized by LAPACK's Householder QR, runs only as
+``method="subspace"``, the oracle of acceptance criterion 7.  Its
+Rayleigh-Ritz step is ``jacobi_svd(A·V)``, so the two share that kernel and
+neither is an independent oracle for the other; LAPACK is the oracle of all
+three paths in the tests.  The Jacobi kernel is checked on its own against
+numpy's ``eigh`` and, bit for bit, against the textbook loop in
+``tests/oracles.py``: each rotation runs in place on a two-row and a
+two-column view.  The QR signs its columns as the Gram-Schmidt loop there
+does.  The spectral norm decides no label: it is the top eigenvalue of the
+explicit Gram matrix for small inputs, and for large ones the ARPACK kernel
+for the top triplet alone, stopped at a relative residual of 1e-8: σ₁'s
+relative error is at worst about 1e-8.  Each Gram product AᵀA·x is summed
+over fixed row blocks of ``_GRAM_BLOCK`` (2²⁰) entries, in order, on every
+usable CPU, so ARPACK's bytes do not depend on the CPU, thread or BLAS
+thread count.
 
 This is the only module that uses scipy, and each function imports what it
 needs on first use: the SVD loads ``scipy.linalg`` and, above the cutover,
 ``scipy.sparse.linalg``; ``spectral_norm`` loads ``scipy.sparse.linalg``
-and the assignment solver ``scipy.sparse.csgraph`` (which loads
-``scipy.sparse.linalg`` too).  No function loads
+above the cutover; the assignment solver ``scipy.sparse.csgraph`` (which
+loads ``scipy.sparse.linalg`` too).  No function loads
 ``scipy.optimize``: on top of LAPACK, on a 2-vCPU host, it took about
 85 ms and 21 MB to import, and csgraph about 12 ms and 5 MB.
 
@@ -240,19 +239,19 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Full SVD via Jacobi eigendecomposition of the smaller Gram matrix.
 
     Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  This is the one
-    small-SVD kernel: ``truncated_svd`` calls it on small inputs and on the
-    Rayleigh-Ritz step of subspace iteration, whose first step signs the
-    ARPACK path's factors.  It stays the production path for min(m, n) <=
-    ``JACOBI_CUTOVER``: its signs cannot be predicted without running it,
-    so no other solver there keeps the labels' bytes.  A wide input is
-    solved as its transpose, with the factors swapped back.
+    full-SVD kernel: ``truncated_svd`` calls it on small inputs, at k =
+    min(m, n), and on the Rayleigh-Ritz step of subspace iteration, whose
+    first step signs the ARPACK path's factors.  It stays the production
+    path for min(m, n) <= ``JACOBI_CUTOVER``: its signs cannot be predicted
+    without running it, so no other solver there keeps the labels' bytes.
+    A wide input is solved as its transpose, with the factors swapped back.
 
     Cost: each sweep makes one Python-level rotation per pair of columns,
     so the time grows about as the cube of min(m, n).  On uniform square
     matrices with one BLAS thread it took 0.38 s at 64 x 64, 2.63 s at
     200 x 200 and 19.6 s at 400 x 400.  ``truncated_svd``'s ``auto`` method
-    keeps it to min(m, n) <= ``JACOBI_CUTOVER`` (64) and to the Ritz step's
-    small projected matrix; nothing stops a larger call.
+    runs it above ``JACOBI_CUTOVER`` (64) only at k = min(m, n), as the
+    full SVD it is; nothing stops a larger call.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -315,12 +314,12 @@ def _subspace_svd(a: np.ndarray, k: int):
     """``(u, s, v)`` of block power iteration with Rayleigh-Ritz extraction.
 
     ``truncated_svd(..., method="subspace")``, the oracle that acceptance
-    criterion 7 checks against, and ``auto`` at k = min(m, n).  Its first
-    :func:`_ritz_step`, from :func:`_start_basis`, also signs ``auto``'s
-    ARPACK factors above the cutover (see :func:`_arpack_svd`).  It takes a
-    Ritz step every ``_CHECK_EVERY`` iterations, and stops at a relative
-    residual of ``TOL``, or raises :class:`ConvergenceError` after
-    ``MAX_ITER`` iterations.
+    criterion 7 checks against; no ``auto`` input runs it, but its first
+    :func:`_ritz_step` signs ``auto``'s ARPACK factors (:func:`_arpack_svd`).
+    It takes a Ritz step every ``_CHECK_EVERY`` iterations, and stops at a
+    relative residual of ``TOL``, or raises :class:`ConvergenceError` after
+    ``MAX_ITER`` iterations, as at k = 70 on a 100 x 70 input with σ₇₀ =
+    5e-8·σ₁, whose left vector ``jacobi_svd`` completes by the QR.
     """
     m, n = a.shape
     v = _start_basis(m, n, k)
@@ -389,12 +388,12 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
         Target rank, 1 <= k <= min(m, n).
     method : str
         "auto" or "subspace".  "auto" is :func:`jacobi_svd` when min(m, n)
-        <= JACOBI_CUTOVER.  Above it, for k < min(m, n), it is ARPACK on the
+        <= JACOBI_CUTOVER or k = min(m, n).  Otherwise it is ARPACK on the
         blocked Gram operator to machine precision, with each pair signed
-        by the first Ritz step of subspace iteration (:func:`_arpack_svd`);
-        at k = min(m, n) it is subspace iteration.  "subspace" forces
-        subspace iteration, re-orthonormalized by Householder QR, at any
-        size: the oracle that acceptance criterion 7 checks against.
+        by the first Ritz step of subspace iteration (:func:`_arpack_svd`).
+        "subspace" forces subspace iteration, re-orthonormalized by
+        Householder QR, at any size: the oracle that acceptance criterion 7
+        checks against.
 
     The result is deterministic: subspace iteration and ARPACK start from
     bases derived from fixed internal keys, ARPACK draws the restarts of a
@@ -403,9 +402,9 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     CPU, thread or BLAS thread count.  Where σ₁ stands apart from σ₂,
     "auto" gives σ₁'s pair the sign "subspace" gives it; over the README's
     census of B-SBM inputs with q > 0, ``cluster``'s labels kept every
-    byte.  If subspace iteration has not converged after ``MAX_ITER``
-    iterations, or ARPACK fails, including running out of its ``MAX_ITER``
-    restarts, it raises :class:`ConvergenceError`.
+    byte.  If ARPACK fails, including running out of its ``MAX_ITER``
+    restarts, or subspace iteration has not converged after ``MAX_ITER``
+    iterations, it raises :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -414,11 +413,11 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     k = as_count(k, "k", 1)
     if k > min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
-    if method == "auto" and min(m, n) <= JACOBI_CUTOVER:
+    if method == "auto" and (min(m, n) <= JACOBI_CUTOVER or k == min(m, n)):
         u, s, v = jacobi_svd(a)
-    elif method == "auto" and k < min(m, n):
+    elif method == "auto":
         u, s, v = _arpack_svd(a, k)
-    elif method in ("auto", "subspace"):
+    elif method == "subspace":
         u, s, v = _subspace_svd(a, k)
     else:
         raise InvalidInputError(f"unknown SVD method {method!r}")
@@ -620,8 +619,12 @@ def _gram_svd(a: np.ndarray, k: int, tol: float):
 def spectral_norm(a) -> float:
     """Largest singular value of ``a``.
 
-    When min(m, n) <= ``JACOBI_CUTOVER`` (64) this is LAPACK's full SVD
-    (``np.linalg.norm(a, 2)``).  Larger inputs go to :func:`_gram_svd` with
+    When min(m, n) <= ``JACOBI_CUTOVER`` (64) this is the square root of
+    the top eigenvalue (``np.linalg.eigvalsh``) of the explicit min(m, n)²
+    Gram matrix: squaring loses accuracy only in the small singular values,
+    and on B-SBM noise matrices σ₁ stayed within 2.4e-15 of LAPACK's
+    ``np.linalg.norm(a, 2)``, whose bytes, unlike these, moved with the BLAS
+    thread count at 20000×64.  Larger inputs go to :func:`_gram_svd` with
     k=1: ARPACK runs Lanczos on the Gram operator AᵀA (AAᵀ for a wide input)
     for the top value alone, from a start vector derived from a fixed
     internal key rather than global random state, and stops at a relative
@@ -630,10 +633,10 @@ def spectral_norm(a) -> float:
     most that gap when it is below 1e-8, where ARPACK cannot tell σ₁ from
     σ₂: at worst about 1e-8.
 
-    The arithmetic depends on the shape alone.  The input, in its taller
-    orientation, is cut into row blocks of about ``_GRAM_BLOCK`` (2²⁰)
-    entries by :func:`rng.row_blocks`: one block at 400×400 or 2000×300,
-    four at 2000×2000.  The blocks run on min(blocks, usable CPUs) threads,
+    Above the cutover the arithmetic depends on the shape alone.  The
+    input, in its taller orientation, is cut into row blocks of about
+    ``_GRAM_BLOCK`` (2²⁰) entries by :func:`rng.row_blocks`: one block at
+    400×400 or 2000×300, four at 2000×2000.  The blocks run on min(blocks, usable CPUs) threads,
     one BLAS thread each, and their bytes do not depend on the CPU, thread
     or BLAS thread count.  Forked sweep workers run them on one thread.
 
@@ -645,7 +648,8 @@ def spectral_norm(a) -> float:
     if m == 0 or n == 0:
         raise InvalidInputError("matrix must be nonempty")
     if min(m, n) <= JACOBI_CUTOVER:
-        return float(np.linalg.norm(a, 2))
+        gram = a.T @ a if m >= n else a @ a.T
+        return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
     if not a.any():
         # ARPACK cannot start from the zero residual a zero operator gives.
         return 0.0

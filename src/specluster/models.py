@@ -17,12 +17,12 @@ itself, for a caller that no longer needs A: the CLI's ``generate`` and
 from __future__ import annotations
 
 import io
+import itertools
 import json
 import math
 import operator
 import warnings
 from dataclasses import InitVar, dataclass
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -168,22 +168,14 @@ def min_symmetric_difference(sets) -> int:
     families = [frozenset(int(v) for v in s) for s in sets]
     if len(families) < 2:
         raise InvalidInputError("need at least two sets")
-    best = None
-    for i in range(len(families)):
-        for j in range(i + 1, len(families)):
-            size = len(families[i] ^ families[j])
-            best = size if best is None else min(best, size)
-    return int(best)
-
-
-def right_clusters(params: BsbmParams) -> list[np.ndarray]:
-    """Right-vertex index sets V_1, ..., V_k."""
-    return [np.flatnonzero(params.right_assignment == r) for r in range(params.k)]
+    return min(len(a ^ b) for a, b in itertools.combinations(families, 2))
 
 
 def delta_v(params: BsbmParams) -> int:
-    """Minimum number of right vertices distinguishing two clusters."""
-    return min_symmetric_difference(right_clusters(params))
+    """Minimum number of right vertices distinguishing two clusters: they
+    are disjoint, so |V_r Δ V_s| = |V_r| + |V_s|, least for the two smallest."""
+    sizes = np.sort(np.bincount(params.right_assignment, minlength=params.k))
+    return int(sizes[0] + sizes[1])
 
 
 def bsbm_sigma_sq(p: float, q: float) -> float:
@@ -527,7 +519,13 @@ def _strict_float(value) -> float:
     return float(value)
 
 
-_float_array = partial(np.asarray, dtype=np.float64)
+def _float_array(value) -> np.ndarray:
+    """``value`` as a float64 array; a bool in it raises TypeError, as in
+    :func:`_strict_float` (numpy reads it as 0.0 or 1.0, among numbers too)."""
+    items = np.asarray(value, dtype=object).flat
+    if (found := next((v for v in items if isinstance(v, bool)), None)) is not None:
+        raise TypeError(f"expected numbers, got {found!r}")
+    return np.asarray(value, dtype=np.float64)
 
 
 def _int_array(value) -> np.ndarray:
@@ -646,7 +644,8 @@ def load_dataset(prefix) -> BinaryDataset:
     """Load a dataset written by :func:`save_dataset`.
 
     A sidecar key that :func:`save_dataset` does not write, or another
-    ``format_version``, raises InvalidInputError rather than being ignored.
+    ``format_version``, raises InvalidInputError rather than being ignored,
+    as does a ``bsbm`` unlike the matrix's shape or, exactly, the ``model``.
     """
     mtx_path, json_path = dataset_paths(prefix)
     if not mtx_path.exists():
@@ -668,6 +667,13 @@ def load_dataset(prefix) -> BinaryDataset:
             model = mixture_from_spec(sidecar["model"], f"{where} model")
         if sidecar.get("bsbm") is not None:
             bsbm = bsbm_from_spec(sidecar["bsbm"], f"{where} bsbm")
+            if (bsbm.m, bsbm.n) != matrix.shape:
+                raise InvalidInputError(f"{where}: bsbm is {bsbm.m}x{bsbm.n}, the matrix "
+                                        f"{matrix.shape[0]}x{matrix.shape[1]}")
+            implied = bsbm_to_mixture(bsbm)
+            for key in MIXTURE_KEYS if model is not None else ():
+                if not np.array_equal(getattr(implied, key), getattr(model, key)):
+                    raise InvalidInputError(f"{where}: bsbm and model differ in {key!r}")
     return BinaryDataset(
         matrix=matrix, truth=truth, model=model, bsbm=bsbm, seed=seed, _binary=binary
     )

@@ -157,6 +157,22 @@ class TestGenerate:
                  "sigma_sq": True, "m": 4},
                 ": bad value for 'sigma_sq': expected a number, got True",
             ),
+            # Bools in means or weights were read as 0.0 and 1.0, mixed with
+            # numbers too.
+            (
+                {"kind": "mixture", "means": [[True, False], [False, True]],
+                 "weights": [0.5, 0.5], "m": 4},
+                ": bad value for 'means': expected numbers, got ",
+            ),
+            (
+                {"kind": "mixture", "means": [[0.5, True], [0, 1]], "weights": [0.5, 0.5],
+                 "m": 4},
+                ": bad value for 'means': expected numbers, got True",
+            ),
+            (
+                {"kind": "mixture", "means": [[1, 0], [0, 1]], "weights": [0.5, True], "m": 4},
+                ": bad value for 'weights': expected numbers, got True",
+            ),
         ],
     )
     def test_malformed_model_file_exits_2(self, tmp_path, capsys, model, field):
@@ -330,8 +346,31 @@ class TestCheck:
                 {"bsbm": {**bsbm, "q": 0.1, "left_sizes": "88", "right_assignment": [0, 1] * 3}},
                 "bad value for 'left_sizes'",
             ),
+            (
+                {"model": {**sidecar["model"], "means": [[True] * 3 + [0] * 3, [0.0] * 6]}},
+                "model: bad value for 'means'",
+            ),
+            (
+                {"model": {**sidecar["model"], "weights": [0.5, True]}},
+                "model: bad value for 'weights'",
+            ),
         ]:
             (tmp_path / "noiseless.json").write_text(json.dumps({**sidecar, **update}))
+            for command in (["check"], ["cluster", "--k", "2", "--out", str(tmp_path / "l")]):
+                assert main([*command, "--data", str(prefix)]) == 2
+                assert message in capsys.readouterr().err
+
+        # A sidecar bsbm of another shape than the matrix, or with another
+        # p than its model, was read as written, and check exited 0.
+        prefix = tmp_path / "b"
+        assert main(["generate", "--bsbm", "m=40,n=20,k=2,p=0.4,q=0.1", "--out", str(prefix)]) == 0
+        sidecar = json.loads((tmp_path / "b.json").read_text())
+        for update, message in [
+            ({"m": 30, "left_sizes": [15, 15]}, "bsbm is 30x20, the matrix 40x20"),
+            ({"p": 0.45}, "bsbm and model differ in 'means'"),
+        ]:
+            edited = {**sidecar, "bsbm": {**sidecar["bsbm"], **update}}
+            (tmp_path / "b.json").write_text(json.dumps(edited))
             for command in (["check"], ["cluster", "--k", "2", "--out", str(tmp_path / "l")]):
                 assert main([*command, "--data", str(prefix)]) == 2
                 assert message in capsys.readouterr().err
@@ -431,7 +470,8 @@ class TestCheck:
 def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):
     # A fresh interpreter: in this one other tests have loaded scipy.  No
     # command, matching or sweep worker loads scipy.optimize; generate and
-    # check load no matching module at all.
+    # check load no matching module at all, and on a side of at most 64 no
+    # scipy module.
     script = textwrap.dedent(
         """
         import os
@@ -451,6 +491,9 @@ def test_generate_and_check_do_not_load_scipy_optimize(tmp_path):
 
         assert not loaded(), loaded()
         out = sys.argv[1]
+        assert main(["generate", "--bsbm", "m=400,n=64,k=2,p=0.4,q=0.1", "--out", out]) == 0
+        assert main(["check", "--data", out]) == 0
+        assert not [name for name in sys.modules if name.startswith("scipy")]
         assert main(["generate", "--bsbm", "m=80,n=80,k=2,p=0.4,q=0.1", "--out", out]) == 0
         assert main(["check", "--data", out]) == 0
         assert loaded() == {"scipy.sparse.linalg"}, loaded()
@@ -606,6 +649,8 @@ class TestSweep:
             ),
             ({"fixed": {**fixed, "q": False}}, "bad value for 'q'"),
             (general(sigma_sq=True), "bad value for 'sigma_sq'"),
+            (general(means=[[True, False], [False, True]]), "bad value for 'means'"),
+            (general(weights=[0.5, True]), "bad value for 'weights'"),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
             assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2
@@ -766,7 +811,8 @@ class TestSpecReaders:
 
         # A sidecar holds a B-SBM whole, and a mixture without m.
         part = "bsbm" if kind == "bsbm" else "model"
-        write_matrix_market(tmp_path / "d.mtx", np.zeros((spec["m"], 1)))
+        n = spec["n"] if kind == "bsbm" else len(spec["means"][0])
+        write_matrix_market(tmp_path / "d.mtx", np.zeros((spec["m"], n)))
         (tmp_path / "d.json").write_text(json.dumps({part: spec if kind == "bsbm" else fixed}))
 
         def from_sidecar():
@@ -807,6 +853,8 @@ class TestSpecReaders:
         # Values come before keys: the bad value is named, not the unknown key.
         ("bsbm", {"q": "x", "trials": 1}, "bad value for 'q'"),
         ("mixture", {"means": "x", "k": 2}, "bad value for 'means'"),
+        # A bool among numbers was read as 1.0.
+        ("mixture", {"means": [[1, 0.5, 0], [0, True, 1]]}, "bad value for 'means'"),
     ])
     def test_same_message_at_every_entry(self, tmp_path, kind, update, message):
         from specluster import InvalidInputError

@@ -248,14 +248,32 @@ class TestArpackSvd:
             truncated_svd(random_matrix(0, 150, 120), 2)
 
     @pytest.mark.parametrize("m, n", [(66, 80), (80, 66)])
-    def test_full_rank_k_runs_subspace_iteration(self, monkeypatch, m, n):
-        # ARPACK needs k < min(m, n); at k = min(m, n) auto is the loop.
+    def test_full_rank_k_runs_jacobi(self, monkeypatch, m, n):
+        # ARPACK needs k < min(m, n); at k = min(m, n) auto is the full
+        # Jacobi SVD, at any size.
         calls = counting_gram_svd(monkeypatch)
         a = random_matrix(m * n, m, n)
         auto = truncated_svd(a, min(m, n))
-        sub = truncated_svd(a, min(m, n), method="subspace")
-        assert auto.materialize().tobytes() == sub.materialize().tobytes()
+        u, s, v = jacobi_svd(a)
+        assert auto.left_vectors.tobytes() == u.tobytes()
+        assert auto.singular_values.tobytes() == s.tobytes()
+        assert auto.right_vectors.tobytes() == v.tobytes()
         assert calls == []
+
+    def test_full_rank_k_with_tiny_singular_value(self):
+        # sigma_70 = 5e-8 sigma_1: jacobi_svd completes its left vector by
+        # QR, so its residual never meets TOL, and subspace iteration raised
+        # ConvergenceError after MAX_ITER iterations.
+        rs = np.random.RandomState(70)
+        u, _ = np.linalg.qr(rs.randn(100, 70))
+        v, _ = np.linalg.qr(rs.randn(70, 70))
+        s = np.linspace(1.0, 0.1, 70)
+        s[-1] = 5e-8
+        a = (u * s) @ v.T
+        approx = truncated_svd(a, 70)
+        ref = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(approx.singular_values - ref).max() <= 1e-8 * ref[0]
+        assert np.abs(approx.materialize() - a).max() <= 1e-7 * ref[0]
 
 
 def cutover_inputs():
@@ -277,6 +295,8 @@ class TestNorms:
         assert spectral_norm(np.outer(u, v)) == pytest.approx(
             np.linalg.norm(u) * np.linalg.norm(v), rel=1e-12
         )
+        column = np.arange(-3.0, 4.0)[:, None]
+        assert spectral_norm(column) == pytest.approx(np.linalg.norm(column), rel=1e-15)
 
     def test_frobenius_examples(self):
         assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
@@ -396,18 +416,22 @@ class TestBlockedNorm:
         ref = np.linalg.norm(noise, 2)
         assert abs(float.fromhex(value) - ref) <= 1e-13 * ref
 
-    @pytest.mark.parametrize("m, n", [(700, 1600), (2000, 300)])
+    @pytest.mark.parametrize("m, n", [(700, 1600), (2000, 300), (20000, 64), (64, 20000)])
     def test_bytes_do_not_depend_on_blas_threads(self, m, n):
-        # Every BLAS call of the norm runs on one thread, whatever OpenBLAS
-        # was started with.  On both inputs, the wide multi-block one and
-        # the one-block 2000x300, products on OpenBLAS's threads change the
-        # last digit.
+        # Every BLAS call of the ARPACK norm runs on one thread, whatever
+        # OpenBLAS was started with.  On both its inputs, the wide
+        # multi-block one and the one-block 2000x300, products on OpenBLAS's
+        # threads change the last digit.  At or below the cutover the norm
+        # is the Gram eigenvalue, whose bytes the thread count leaves alone;
+        # LAPACK's SVD, the norm before it, changed the last digit at
+        # 20000x64 on seed 0 and at 64x20000 on seed 1.
         script = (
             "from specluster import BsbmParams, bsbm_to_mixture, noise_matrix, sample, "
             "spectral_norm\n"
             f"model = bsbm_to_mixture(BsbmParams.balanced({m}, {n}, 2, 0.3, 0.05))\n"
-            f"ds = sample(model, {m}, 0)\n"
-            "print(spectral_norm(noise_matrix(ds.matrix, model, ds.truth)).hex())\n"
+            "for seed in (0, 1):\n"
+            f"    ds = sample(model, {m}, seed)\n"
+            "    print(spectral_norm(noise_matrix(ds.matrix, model, ds.truth)).hex())\n"
         )
         printed = set()
         for threads in ("1", "2"):

@@ -121,6 +121,16 @@ class TestBsbm:
         assert min_symmetric_difference([{1, 2, 3}, {3, 4}]) == 3
         assert min_symmetric_difference([{1, 2}, {2, 3}, {1, 2, 3, 4}]) == 2
 
+    def test_delta_v_is_the_smallest_symmetric_difference(self):
+        rs = np.random.RandomState(6)
+        for _ in range(200):
+            k = rs.randint(2, 7)
+            n = rs.randint(k, 31)
+            assignment = rs.permutation(np.concatenate([np.arange(k), rs.randint(0, k, n - k)]))
+            params = BsbmParams(2 * k, n, k, 0.4, 0.1, (2,) * k, assignment)
+            clusters = [np.flatnonzero(assignment == r) for r in range(k)]
+            assert delta_v(params) == min_symmetric_difference(clusters)
+
 
 class TestSampling:
     def test_degenerate_means(self):
