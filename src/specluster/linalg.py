@@ -1,20 +1,21 @@
 """Dense linear-algebra kernels: truncated SVD, norms, squared distances and
 center matching.
 
-The truncated SVD is ``jacobi_svd``, a cyclic Jacobi eigendecomposition of
-the explicit smaller Gram matrix AᵀA (AAᵀ for a wide input), when the small
-dimension is at most ``JACOBI_CUTOVER`` or k equals it.  Otherwise it is
-ARPACK on the blocked Gram operator, computed to machine precision, whose
-pairs take their signs from the first Rayleigh-Ritz step of subspace
-iteration: ``kmeans`` lexsorts the embedded rows, so a sign reaches the
-labels, and with these signs the labels keep the bytes subspace iteration
-gave (see ``_arpack_svd``).  Subspace iteration, block power iteration
-re-orthonormalized by LAPACK's Householder QR, runs only as
-``method="subspace"``, the oracle of acceptance criterion 7.  Its
-Rayleigh-Ritz step is ``jacobi_svd(A·V)``, so the two share that kernel and
-neither is an independent oracle for the other; LAPACK is the oracle of all
-three paths in the tests.  The Jacobi kernel is checked on its own against
-numpy's ``eigh`` and, bit for bit, against the textbook loop in
+The truncated SVD takes one of two paths.  It is ``jacobi_svd``, a cyclic
+Jacobi eigendecomposition of the explicit smaller Gram matrix AᵀA (AAᵀ for a
+wide input), when the small dimension is at most ``JACOBI_CUTOVER`` or k
+equals it.  Otherwise it is ARPACK on the blocked Gram operator, computed to
+machine precision, whose pairs take their signs from one Rayleigh-Ritz step,
+``jacobi_svd(A·V₀)`` on a fixed start basis V₀: ``kmeans`` lexsorts the
+embedded rows, so a sign reaches the labels, and with these signs the labels
+keep the bytes that subspace iteration gave (see ``_arpack_svd``).
+Subspace iteration, block power iteration re-orthonormalized by LAPACK's
+Householder QR, is not a library path: it is ``subspace_svd_reference`` in
+``tests/oracles.py``, the oracle of acceptance criterion 7, built from this
+module's start basis, QR and Ritz step.  So it shares the Jacobi kernel
+with both paths and is not an independent oracle for it; LAPACK is the
+oracle of both paths in the tests.  The Jacobi kernel is checked on its own
+against numpy's ``eigh`` and, bit for bit, against the textbook loop in
 ``tests/oracles.py``: each rotation runs in place on a two-row and a
 two-column view.  The QR signs its columns as the Gram-Schmidt loop there
 does.  The spectral norm decides no label: it is the top eigenvalue of the
@@ -60,11 +61,12 @@ from . import rng
 from .errors import ConvergenceError, InvalidInputError
 
 JACOBI_CUTOVER = 64
-TOL = 1e-8  # relative residual at which subspace iteration stops
-MAX_ITER = 10_000  # subspace iterations, and ARPACK's restarts
+TOL = 1e-8  # relative residual at which the first Ritz step is the SVD
+MAX_ITER = 10_000  # ARPACK's restarts
 
 _OVERSAMPLE = 8
-_CHECK_EVERY = 8
+_JACOBI_TOL = 1e-13  # off-diagonal Frobenius mass, relative, at which Jacobi stops
+_JACOBI_SWEEPS = 64
 _NORM_TOL = 1e-8  # relative residual on AᵀA at which spectral_norm's ARPACK stops
 _GRAM_BLOCK = 1 << 20  # entries per row block of ARPACK's Gram product
 # CPUs this process may use: None reads the affinity mask (``_usable_cpus``).
@@ -176,12 +178,13 @@ def _orthonormal_columns(w: np.ndarray) -> np.ndarray:
     return q
 
 
-def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
+def _jacobi_eigh(sym: np.ndarray):
     """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations.
 
     Returns eigenvalues in descending order and the matching eigenvector
-    columns.  Convergence: off-diagonal Frobenius mass at most ``tol`` times
-    the Frobenius norm of the input.
+    columns.  Convergence: off-diagonal Frobenius mass at most
+    ``_JACOBI_TOL`` times the Frobenius norm of the input, or
+    ``_JACOBI_SWEEPS`` sweeps.
 
     Each rotation runs in place on rows p and q of the matrix, then on
     columns p and q of the matrix and eigenvectors, stacked in one
@@ -196,7 +199,7 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
     a[...] = sym
     v[...] = np.eye(n)
     fro = float(np.sqrt(np.sum(a * a))) or 1.0
-    skip = tol * fro / max(4 * n, 4)
+    skip = _JACOBI_TOL * fro / max(4 * n, 4)
     # rot = [[c, -s], [s, c]] rotates a (2, L) pair x into
     # rot3[:, 0] * x[0] + rot3[:, 1] * x[1]: one multiply, one add.
     rot = np.empty((2, 2))
@@ -210,9 +213,9 @@ def _jacobi_eigh(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int = 64):
         for p in range(n - 1)
         for q in range(p + 1, n)
     ]
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = a - np.diag(np.diag(a))
-        if float(np.sqrt(np.sum(off * off))) <= tol * fro:
+        if float(np.sqrt(np.sum(off * off))) <= _JACOBI_TOL * fro:
             break
         for p, q, rows, cols in pairs:
             apq = a.item(p, q)
@@ -240,18 +243,18 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  This is the one
     full-SVD kernel: ``truncated_svd`` calls it on small inputs, at k =
-    min(m, n), and on the Rayleigh-Ritz step of subspace iteration, whose
-    first step signs the ARPACK path's factors.  It stays the production
-    path for min(m, n) <= ``JACOBI_CUTOVER``: its signs cannot be predicted
-    without running it, so no other solver there keeps the labels' bytes.
-    A wide input is solved as its transpose, with the factors swapped back.
+    min(m, n), and in the Rayleigh-Ritz step that signs the ARPACK path's
+    factors.  It stays the path for min(m, n) <= ``JACOBI_CUTOVER``: its
+    signs cannot be predicted without running it, so no other solver there
+    keeps the labels' bytes.  A wide input is solved as its transpose, with
+    the factors swapped back.
 
     Cost: each sweep makes one Python-level rotation per pair of columns,
     so the time grows about as the cube of min(m, n).  On uniform square
     matrices with one BLAS thread it took 0.38 s at 64 x 64, 2.63 s at
-    200 x 200 and 19.6 s at 400 x 400.  ``truncated_svd``'s ``auto`` method
-    runs it above ``JACOBI_CUTOVER`` (64) only at k = min(m, n), as the
-    full SVD it is; nothing stops a larger call.
+    200 x 200 and 19.6 s at 400 x 400.  ``truncated_svd`` runs it above
+    ``JACOBI_CUTOVER`` (64) only at k = min(m, n), as the full SVD it is;
+    nothing stops a larger call.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -271,8 +274,9 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _start_basis(m: int, n: int, k: int) -> np.ndarray:
-    """The orthonormal n x b start basis of subspace iteration, b = min(k + 8,
-    m, n), derived from a fixed internal key rather than global random state."""
+    """The orthonormal n x b start basis V₀ of the first Ritz step, b =
+    min(k + 8, m, n), derived from a fixed internal key rather than global
+    random state."""
     b = min(k + _OVERSAMPLE, m, n)
     init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
     return _orthonormal_columns(2.0 * rng.uniform_grid(init_key, n, b) - 1.0)
@@ -281,10 +285,10 @@ def _start_basis(m: int, n: int, k: int) -> np.ndarray:
 def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
     """One Rayleigh-Ritz step of ``a`` on the orthonormal basis ``v``.
 
-    Returns ``(u, s, v_r, done, residual)``.  ``jacobi_svd(a @ v)`` gives
-    the Ritz triplets: its left factor and singular values, and its right
-    factor rotates ``v`` into ``v_r``.  ``done`` says that the top k pairs
-    meet the relative residual ``TOL``, and ``residual`` is their largest.
+    Returns ``(u, s, v_r, done)``.  ``jacobi_svd(a @ v)`` gives the Ritz
+    triplets: its left factor and singular values, and its right factor
+    rotates ``v`` into ``v_r``.  ``done`` says that the top k pairs meet
+    the relative residual ``TOL``.
     """
     b = v.shape[1]
     u_r, s, q = jacobi_svd(a @ v)
@@ -307,47 +311,20 @@ def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
         loose = resid_norms <= root_tol * scale
         near_boundary = (s[:k] - s[k]) <= 8.0 * root_tol * scale
         done = bool(np.all(loose) and np.all(strict | near_boundary))
-    return u_r, s, v_r, done, float(resid_norms.max())
-
-
-def _subspace_svd(a: np.ndarray, k: int):
-    """``(u, s, v)`` of block power iteration with Rayleigh-Ritz extraction.
-
-    ``truncated_svd(..., method="subspace")``, the oracle that acceptance
-    criterion 7 checks against; no ``auto`` input runs it, but its first
-    :func:`_ritz_step` signs ``auto``'s ARPACK factors (:func:`_arpack_svd`).
-    It takes a Ritz step every ``_CHECK_EVERY`` iterations, and stops at a
-    relative residual of ``TOL``, or raises :class:`ConvergenceError` after
-    ``MAX_ITER`` iterations, as at k = 70 on a 100 x 70 input with σ₇₀ =
-    5e-8·σ₁, whose left vector ``jacobi_svd`` completes by the QR.
-    """
-    m, n = a.shape
-    v = _start_basis(m, n, k)
-    last_residual = np.inf
-    for it in range(MAX_ITER + 1):
-        if it % _CHECK_EVERY == 0 or it == MAX_ITER:
-            u_r, s, v_r, done, last_residual = _ritz_step(a, v, k)
-            if done:
-                return u_r, s, v_r
-            v = v_r
-        if it == MAX_ITER:
-            break
-        u = _orthonormal_columns(a @ v)
-        v = _orthonormal_columns(a.T @ u)
-    raise ConvergenceError(
-        f"subspace iteration did not reach tol={TOL} in {MAX_ITER} iterations "
-        f"(last residual {last_residual:.3e})"
-    )
+    return u_r, s, v_r, done
 
 
 def _arpack_svd(a: np.ndarray, k: int):
-    """``(u, s, v)`` of ``auto`` for min(m, n) > ``JACOBI_CUTOVER`` and
-    k < min(m, n), in three steps.
+    """``(u, s, v)`` of ``truncated_svd`` for min(m, n) > ``JACOBI_CUTOVER``
+    and k < min(m, n), in three steps.
 
-    1. The first Ritz step of :func:`_subspace_svd`, from its start basis.
-       If it already meets ``TOL``, as on all-zero input, where ARPACK
-       cannot start, it is the result, with the bytes the subspace loop
-       returns.
+    1. The first Ritz step, :func:`_ritz_step` on the start basis V₀ of
+       :func:`_start_basis`.  If it already meets ``TOL``, it is the
+       result, with the bytes subspace iteration returns.  That happens on
+       an all-zero input, where ARPACK cannot start, and on tall inputs
+       (m >= n) with n <= k + 8: V₀ is then a full n x n basis, and the
+       step is an exact n x n Jacobi solve of A·V₀.  A wide input's V₀ has
+       at most m < n columns, so a nonzero wide input goes on to ARPACK.
     2. Otherwise :func:`_gram_svd` at ``tol=0``: ARPACK to machine
        precision on the blocked Gram operator.
     3. Each pair (u_j, v_j) whose v_j has a negative dot product with
@@ -356,17 +333,18 @@ def _arpack_svd(a: np.ndarray, k: int):
     ``kmeans`` lexsorts the embedded rows, column 0 first, so the sign of
     σ₁'s pair reaches the labels; negating another column leaves every
     distance byte as it was.  Once σ₁ stands apart from σ₂, each later QR
-    step of the subspace loop scales column 0 by a positive multiple of
-    AᵀA and each later Ritz rotation is near the identity on it, so the
-    loop ends with the first step's sign there.  ARPACK's σ₁ pair then
-    differs from the loop's by about 1e-12, too little to move a k-means++
-    draw or a Lloyd assignment: the labels keep the loop's bytes (the
-    README gives the census).
+    step of subspace iteration (``subspace_svd_reference`` in
+    ``tests/oracles.py``) scales column 0 by a positive multiple of AᵀA and
+    each later Ritz rotation is near the identity on it, so the loop ends
+    with the first step's sign there.  ARPACK's σ₁ pair then differs from
+    the loop's by about 1e-12, too little to move a k-means++ draw or a
+    Lloyd assignment: the labels keep the loop's bytes (the README gives
+    the census).
     """
     from scipy.sparse.linalg import ArpackError
 
     m, n = a.shape
-    u, s, first, done, _ = _ritz_step(a, _start_basis(m, n, k), k)
+    u, s, first, done = _ritz_step(a, _start_basis(m, n, k), k)
     if done:
         return u, s, first
     try:
@@ -377,7 +355,7 @@ def _arpack_svd(a: np.ndarray, k: int):
     return u * signs, s, v * signs
 
 
-def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
+def truncated_svd(a, k: int) -> RankKApprox:
     """Best rank-k approximation of ``a`` as a :class:`RankKApprox`.
 
     Parameters
@@ -386,25 +364,21 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
         Dense real matrix, shape (m, n).
     k : int
         Target rank, 1 <= k <= min(m, n).
-    method : str
-        "auto" or "subspace".  "auto" is :func:`jacobi_svd` when min(m, n)
-        <= JACOBI_CUTOVER or k = min(m, n).  Otherwise it is ARPACK on the
-        blocked Gram operator to machine precision, with each pair signed
-        by the first Ritz step of subspace iteration (:func:`_arpack_svd`).
-        "subspace" forces subspace iteration, re-orthonormalized by
-        Householder QR, at any size: the oracle that acceptance criterion 7
-        checks against.
 
-    The result is deterministic: subspace iteration and ARPACK start from
-    bases derived from fixed internal keys, ARPACK draws the restarts of a
+    There are two paths.  The result is :func:`jacobi_svd` when min(m, n)
+    <= JACOBI_CUTOVER or k = min(m, n).  Otherwise it is ARPACK on the
+    blocked Gram operator to machine precision, with each pair signed by
+    the first Rayleigh-Ritz step of subspace iteration (:func:`_arpack_svd`).
+
+    The result is deterministic: the Ritz step and ARPACK start from bases
+    derived from fixed internal keys, ARPACK draws the restarts of a
     rank-deficient input from a generator seeded by one, and neither reads
     global random state or OS entropy.  ARPACK's bytes do not depend on the
-    CPU, thread or BLAS thread count.  Where σ₁ stands apart from σ₂,
-    "auto" gives σ₁'s pair the sign "subspace" gives it; over the README's
-    census of B-SBM inputs with q > 0, ``cluster``'s labels kept every
-    byte.  If ARPACK fails, including running out of its ``MAX_ITER``
-    restarts, or subspace iteration has not converged after ``MAX_ITER``
-    iterations, it raises :class:`ConvergenceError`.
+    CPU, thread or BLAS thread count.  Where σ₁ stands apart from σ₂, σ₁'s
+    pair has the sign subspace iteration gives it; over the README's census
+    of B-SBM inputs with q > 0, ``cluster``'s labels kept every byte.  If
+    ARPACK fails, including running out of its ``MAX_ITER`` restarts, it
+    raises :class:`ConvergenceError`.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -413,14 +387,10 @@ def truncated_svd(a, k: int, *, method: str = "auto") -> RankKApprox:
     k = as_count(k, "k", 1)
     if k > min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
-    if method == "auto" and (min(m, n) <= JACOBI_CUTOVER or k == min(m, n)):
+    if min(m, n) <= JACOBI_CUTOVER or k == min(m, n):
         u, s, v = jacobi_svd(a)
-    elif method == "auto":
-        u, s, v = _arpack_svd(a, k)
-    elif method == "subspace":
-        u, s, v = _subspace_svd(a, k)
     else:
-        raise InvalidInputError(f"unknown SVD method {method!r}")
+        u, s, v = _arpack_svd(a, k)
     return RankKApprox(k, u[:, :k].copy(), s[:k].copy(), v[:, :k].copy())
 
 

@@ -42,6 +42,8 @@ class CenterSet:
     def __post_init__(self):
         centers = as_matrix(self.centers, "centers")
         sizes = np.asarray(self.cluster_sizes, dtype=np.int64)
+        if centers.shape[0] == 0:
+            raise InvalidInputError("a center set needs at least one center")
         if sizes.shape != (centers.shape[0],):
             raise InvalidInputError("cluster_sizes must have one entry per center")
         if np.any(sizes < 1):
@@ -159,6 +161,8 @@ def assign(matrix, centers) -> np.ndarray:
         raise InvalidInputError(
             f"dimension mismatch: rows have {a.shape[1]} columns, centers {c.shape[1]}"
         )
+    if c.shape[0] == 0:
+        raise InvalidInputError("need at least one center to assign rows to")
     return np.argmin(sq_dists(a, c), axis=1).astype(np.int64)
 
 

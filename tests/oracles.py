@@ -6,6 +6,10 @@ can certify the optimized implementations.  The Jacobi eigensolver is the
 textbook loop the library's in-place version must match bit for bit, the
 Gram-Schmidt loop is the one the library's Householder QR replaced, and
 the k-means loop is the one the library's k-means must match bit for bit.
+The subspace-iteration loop is the exception: it is built from the
+library's start basis, QR and Ritz step, whose first step signs ARPACK's
+pairs, so it is the reference acceptance criterion 7 checks, not an
+independent one.
 The dense-path oracles keep the whole-matrix expressions that the library's
 block-wise kernels replaced: a float grid compared with the row means and
 then reordered, ``A - E`` with E in full, the ``np.where`` Matrix Market
@@ -17,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from specluster import rng
+from specluster import linalg, rng
+from specluster.errors import ConvergenceError
 from specluster.kmeans import KMeansResult
 from specluster.models import cluster_counts, expected_from_truth
 
@@ -103,6 +108,43 @@ def jacobi_eigh_reference(sym: np.ndarray, tol: float = 1e-13, max_sweeps: int =
     eigvals = np.diag(a).copy()
     order = np.argsort(-eigvals, kind="stable")
     return eigvals[order], v[:, order]
+
+
+def subspace_svd_reference(a, k: int, max_iter: int = 10_000) -> linalg.RankKApprox:
+    """Rank-k SVD of ``a`` by block power iteration with Rayleigh-Ritz
+    extraction: the oracle that acceptance criterion 7 checks against.
+
+    It starts from ``linalg._start_basis``, re-orthonormalizes each power
+    step by ``linalg._orthonormal_columns`` (Householder QR), and takes a
+    ``linalg._ritz_step`` every 8 iterations, stopping once the step meets
+    ``linalg.TOL``.  The three are looked up on the module at call time, so
+    a test that patches the QR or the Jacobi kernel reaches them here too.
+    The first Ritz step is the one that signs the library's ARPACK pairs,
+    and the Ritz step runs ``jacobi_svd``, so this loop is not an
+    independent oracle for the Jacobi kernel.
+
+    After ``max_iter`` iterations it raises :class:`ConvergenceError`.  It
+    does at k = min(m, n) when some σ_j lies in (1e-8, 1e-7]·σ₁, as on a
+    100 x 70 input with σ₇₀ = 5e-8·σ₁: ``jacobi_svd`` completes the left
+    vector of every σ_j <= 1e-7·σ₁ by QR, so that column's residual never
+    meets ``TOL``.  The library runs ``jacobi_svd`` alone at k = min(m, n).
+    """
+    a = np.asarray(a, dtype=np.float64)
+    m, n = a.shape
+    v = linalg._start_basis(m, n, k)
+    for it in range(max_iter + 1):
+        if it % 8 == 0 or it == max_iter:
+            u_r, s, v_r, done = linalg._ritz_step(a, v, k)
+            if done:
+                return linalg.RankKApprox(k, u_r[:, :k].copy(), s[:k].copy(), v_r[:, :k].copy())
+            v = v_r
+        if it == max_iter:
+            break
+        u = linalg._orthonormal_columns(a @ v)
+        v = linalg._orthonormal_columns(a.T @ u)
+    raise ConvergenceError(
+        f"subspace iteration did not reach tol={linalg.TOL} in {max_iter} iterations"
+    )
 
 
 def mgs_reference(w: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from oracles import (
     brute_force_matching,
     jacobi_eigh_reference,
     mgs_reference,
+    subspace_svd_reference,
 )
 from specluster import linalg, pipeline
 from specluster import (
@@ -79,21 +80,22 @@ class TestTruncatedSvd:
         assert got.left_vectors.tobytes() == ref.left_vectors.tobytes()
 
     def test_convergence_failure_reported(self, monkeypatch):
+        # The subspace oracle reads linalg.TOL through the Ritz step.
         a = random_matrix(0, 80, 90)
         monkeypatch.setattr(linalg, "TOL", 1e-14)
-        monkeypatch.setattr(linalg, "MAX_ITER", 1)
-        with pytest.raises(ConvergenceError):
-            truncated_svd(a, 2, method="subspace")
+        with pytest.raises(ConvergenceError, match="did not reach tol=1e-14 in 1 iterations"):
+            subspace_svd_reference(a, 2, max_iter=1)
 
     def test_removed_arguments_are_type_errors(self):
-        # method is keyword-only, and the solver takes no tol or max_iter.
+        # The solver takes no tol, max_iter or method.
         a = random_matrix(0, 80, 90)
         with pytest.raises(TypeError):
             truncated_svd(a, 2, 1e-8)
         with pytest.raises(TypeError):
             truncated_svd(a, 2, max_iter=10)
-        with pytest.raises(InvalidInputError, match="unknown SVD method 'jacobi'"):
-            truncated_svd(a, 2, method="jacobi")
+        for method in ("auto", "subspace", "jacobi"):
+            with pytest.raises(TypeError):
+                truncated_svd(a, 2, method=method)
 
     def test_degenerate_spectrum_materializes(self):
         # Repeated singular values: factors are free, the product is not.
@@ -113,7 +115,7 @@ class TestTruncatedSvd:
     def test_subspace_matches_jacobi(self):
         for seed in range(10):
             a = random_matrix(100 + seed, 25, 18)
-            sub = truncated_svd(a, 3, method="subspace")
+            sub = subspace_svd_reference(a, 3)
             u, s, v = jacobi_svd(a)
             assert np.allclose(sub.singular_values, s[:3], rtol=1e-8, atol=1e-10)
 
@@ -153,9 +155,9 @@ def counting_gram_svd(monkeypatch):
 
 
 class TestArpackSvd:
-    """Above the cutover, ``auto`` takes the first Ritz step of subspace
-    iteration, then ARPACK on the blocked Gram operator, with each pair
-    signed by that first step."""
+    """Above the cutover, ``truncated_svd`` takes the first Ritz step of
+    subspace iteration, then ARPACK on the blocked Gram operator, with each
+    pair signed by that first step."""
 
     # One block, tall and wide; then several blocks, tall and wide, once
     # with the shipped block size and once with a small one.
@@ -182,13 +184,13 @@ class TestArpackSvd:
     def test_column_signs_follow_subspace_iteration(self):
         # kmeans lexsorts the embedded rows with column 0 first, so that
         # column's sign decides labels.  Where sigma_1 stands apart (q > 0),
-        # auto must give it the subspace loop's sign; unsigned ARPACK
-        # vectors disagree on some of these inputs.
+        # truncated_svd must give it the subspace oracle's sign; unsigned
+        # ARPACK vectors disagree on some of these inputs.
         cases = [(m, n, k, p, seed) for m, n in [(200, 400), (400, 200), (150, 90)]
                  for k in (2, 3, 4) for p in (0.2, 0.45) for seed in range(3)]
         for m, n, k, p, seed in cases:
             a = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, 0.05)), m, seed).matrix
-            auto, sub = truncated_svd(a, k), truncated_svd(a, k, method="subspace")
+            auto, sub = truncated_svd(a, k), subspace_svd_reference(a, k)
             assert np.allclose(auto.singular_values, sub.singular_values, rtol=1e-9)
             assert auto.left_vectors[:, 0] @ sub.left_vectors[:, 0] > 0.99, (m, n, k, p, seed)
             assert auto.right_vectors[:, 0] @ sub.right_vectors[:, 0] > 0.99
@@ -196,13 +198,32 @@ class TestArpackSvd:
     @pytest.mark.parametrize("k", [2, 4])
     def test_zero_input_returns_the_first_ritz_step(self, monkeypatch, k):
         # ARPACK cannot start on a zero operator; the first Ritz step meets
-        # the tolerance there, and auto returns it as the loop does.
+        # the tolerance there, and truncated_svd returns it as the subspace
+        # oracle does.
         calls = counting_gram_svd(monkeypatch)
         for a in (np.zeros((100, 80)), np.zeros((70, 300))):
-            auto, sub = truncated_svd(a, k), truncated_svd(a, k, method="subspace")
+            auto, sub = truncated_svd(a, k), subspace_svd_reference(a, k)
             for name in ("left_vectors", "singular_values", "right_vectors"):
                 assert getattr(auto, name).tobytes() == getattr(sub, name).tobytes()
         assert calls == []
+
+    def test_full_start_basis_returns_the_first_ritz_step(self, monkeypatch):
+        # A tall input with n <= k + 8 has a full n x n start basis V0, so
+        # the first Ritz step is an exact Jacobi solve of A V0 and meets the
+        # tolerance: truncated_svd returns it and ARPACK never runs.  A wide
+        # input's V0 has at most m < n columns, so ARPACK runs there.
+        calls = counting_gram_svd(monkeypatch)
+        for m, n, k in [(100, 80, 72), (200, 70, 62)]:
+            a = random_matrix(m + n + k, m, n)
+            approx = truncated_svd(a, k)
+            u, s, v, done = linalg._ritz_step(a, linalg._start_basis(m, n, k), k)
+            assert done
+            assert approx.left_vectors.tobytes() == u[:, :k].tobytes()
+            assert approx.singular_values.tobytes() == s[:k].tobytes()
+            assert approx.right_vectors.tobytes() == v[:, :k].tobytes()
+        assert calls == []
+        truncated_svd(random_matrix(252, 80, 100), 72)
+        assert calls == [72]
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_rank_deficient_inputs_match_lapack(self, monkeypatch, k):
@@ -262,8 +283,8 @@ class TestArpackSvd:
 
     def test_full_rank_k_with_tiny_singular_value(self):
         # sigma_70 = 5e-8 sigma_1: jacobi_svd completes its left vector by
-        # QR, so its residual never meets TOL, and subspace iteration raised
-        # ConvergenceError after MAX_ITER iterations.
+        # QR, so its residual never meets TOL, and the subspace oracle
+        # raises ConvergenceError there after 10,000 iterations.
         rs = np.random.RandomState(70)
         u, _ = np.linalg.qr(rs.randn(100, 70))
         v, _ = np.linalg.qr(rs.randn(70, 70))
@@ -590,11 +611,10 @@ class TestOrthonormalColumns:
     def test_labels_match_gram_schmidt(self, monkeypatch, n, ps, seeds):
         # The QR that replaced Gram-Schmidt must not flip a column's sign:
         # k-means seeds from the lexsorted embedding, so a flip moves labels.
-        # n=400 clusters through subspace iteration, the oracle, and n=64
-        # through the Jacobi path.
-        method = "subspace" if n > linalg.JACOBI_CUTOVER else "auto"
-        real = truncated_svd
-        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method=method))
+        # n=400 clusters through the subspace oracle, which looks the QR up
+        # on linalg at call time, and n=64 through the Jacobi path.
+        if n > linalg.JACOBI_CUTOVER:
+            monkeypatch.setattr(pipeline, "truncated_svd", subspace_svd_reference)
         cases = [(k, p, seed) for k in (2, 4) for p in ps for seed in seeds]
         data = [
             sample(bsbm_to_mixture(BsbmParams.balanced(400, n, k, p, 0.05)), 400, seed).matrix
@@ -641,22 +661,21 @@ class TestJacobi:
             assert v.tobytes() == ref_v.tobytes()
             assert v.flags.c_contiguous == ref_v.flags.c_contiguous
 
-    # 400x64 runs the Jacobi path, 400x400 subspace iteration's Ritz steps
-    # (the oracle) and 64x400 the transposed (wide) Jacobi branch, on the
-    # data and its halves.
+    # 400x64 runs the Jacobi path, 400x400 the subspace oracle's Ritz steps
+    # (which look jacobi_svd up on linalg at call time) and 64x400 the
+    # transposed (wide) Jacobi branch, on the data and its halves.
     @pytest.mark.parametrize(
-        "m, n, method",
-        [(400, 64, "auto"), (400, 400, "subspace"), (64, 400, "auto")],
+        "m, n, svd",
+        [(400, 64, truncated_svd), (400, 400, subspace_svd_reference), (64, 400, truncated_svd)],
         ids=["64", "400", "wide"],
     )
-    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, m, n, method):
-        real = truncated_svd
-        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method=method))
+    def test_labels_and_factors_match_textbook_loop(self, monkeypatch, m, n, svd):
+        monkeypatch.setattr(pipeline, "truncated_svd", svd)
         data = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, 4, 0.45, 0.05)), m, 7).matrix
         labels = cluster(data, 4, 5)
-        approx = truncated_svd(data, 4, method=method)
+        approx = svd(data, 4)
         monkeypatch.setattr(linalg, "_jacobi_eigh", jacobi_eigh_reference)
-        ref_approx = truncated_svd(data, 4, method=method)
+        ref_approx = svd(data, 4)
         assert cluster(data, 4, 5).tobytes() == labels.tobytes()
         for name in ("left_vectors", "singular_values", "right_vectors"):
             assert getattr(approx, name).tobytes() == getattr(ref_approx, name).tobytes()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from oracles import subspace_svd_reference
 from specluster import (
     BsbmParams,
     CenterSet,
@@ -118,6 +119,9 @@ class TestAssign:
     def test_dimension_mismatch(self):
         with pytest.raises(InvalidInputError):
             assign(np.zeros((2, 3)), CenterSet(np.zeros((2, 4)), [1, 1]))
+        # No centers at all is an input error, not numpy's empty argmin.
+        with pytest.raises(InvalidInputError, match="at least one center"):
+            assign(np.zeros((2, 3)), np.empty((0, 3)))
 
     def test_fresh_sample_assignment_smoke(self):
         params = BsbmParams.balanced(200, 200, 2, 0.45, 0.05)
@@ -219,14 +223,13 @@ class TestCluster:
     def test_labels_match_subspace_iteration(self, monkeypatch):
         # Above the cutover the halves' SVD runs ARPACK, signed by the first
         # Ritz step of subspace iteration.  Where sigma_1 stands apart
-        # (q > 0), the labels keep the loop's bytes.
+        # (q > 0), the labels keep the subspace oracle's bytes.
         cases = [(m, n, k, p, q, seed) for m, n in [(400, 400), (300, 150), (180, 600)]
                  for k in (2, 3, 4) for p, q in [(0.2, 0.05), (0.45, 0.1)] for seed in (0, 1)]
         data = [sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, p, q)), m, seed).matrix
                 for m, n, k, p, q, seed in cases]
         labels = [cluster(a, case[2], case[5]) for a, case in zip(data, cases)]
-        real = pipeline.truncated_svd
-        monkeypatch.setattr(pipeline, "truncated_svd", lambda a, k: real(a, k, method="subspace"))
+        monkeypatch.setattr(pipeline, "truncated_svd", subspace_svd_reference)
         for a, case, got in zip(data, cases, labels):
             assert cluster(a, case[2], case[5]).tobytes() == got.tobytes(), case
 
@@ -277,6 +280,8 @@ class TestCenterSetType:
             CenterSet(np.array([[0.5, 1.5]]), [1])
         with pytest.raises(InvalidInputError):
             CenterSet(np.array([[0.5, 0.5]]), [0])
+        with pytest.raises(InvalidInputError, match="at least one center"):
+            CenterSet(np.zeros((0, 2)), [])
         cs = CenterSet(np.array([[0.25, 0.75]]), [4])
         assert cs.k == 1 and cs.n == 2
 
@@ -355,7 +360,7 @@ class TestSecondProcess:
         # In this process scipy is loaded already.  In a fresh one, the
         # child must inherit LAPACK's OpenBLAS pinned: a library it loaded
         # itself would start on OpenBLAS's default thread count.  The child
-        # loads LAPACK, as a half on the subspace path does, then scans.
+        # loads LAPACK, as a Jacobi half's QR does, then scans.
         if not linalg._openblas_thread_controls():
             pytest.skip("numpy does not use OpenBLAS here")
         script = (
