@@ -296,7 +296,9 @@ def _aggregate(spec: SweepSpec, params: dict, records: list[TrialRecord]) -> Cel
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (cell, trial) and aggregate per cell.
 
-    All cells are validated before any trial runs.  Trials run in a pool of
+    All cells are validated before any trial runs; with the ``conditions``
+    diagnostic, a cell whose model has sigma_sq = 0 is rejected, since its
+    Talagrand ratio would divide by zero.  Trials run in a pool of
     ``workers`` processes (default: the CPUs this process may use, capped at
     the number of trials).  Workers are forked rather than spawned, so they
     do not pay the package import again; with one worker, or where ``fork``
@@ -319,7 +321,9 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
         workers = as_count(workers, "workers", 1)
     cells = spec.cells()
     for params in cells:
-        build_cell(spec.family, params)
+        model = build_cell(spec.family, params)[0]
+        if "conditions" in spec.diagnostics and model.sigma_sq <= 0:
+            raise InvalidInputError(f"cell {params}: the conditions diagnostic needs sigma_sq > 0")
 
     tasks = [(params, t) for params in cells for t in range(spec.trials_per_cell)]
     workers = min(workers or _usable_cpus(), len(tasks))

@@ -8,13 +8,15 @@ equals it.  Otherwise it is ARPACK on the blocked Gram operator, computed to
 machine precision, whose pairs take their signs from one Rayleigh-Ritz step,
 ``jacobi_svd(A·V₀)`` on a fixed start basis V₀: ``kmeans`` lexsorts the
 embedded rows, so a sign reaches the labels, and with these signs the labels
-keep the bytes that subspace iteration gave (see ``_arpack_svd``).
+keep the bytes that subspace iteration gave (see ``_arpack_svd``).  Where
+V₀ spans all of Rⁿ, or A is zero, that step is exact and is the result.
 Subspace iteration, block power iteration re-orthonormalized by LAPACK's
 Householder QR, is not a library path: it is ``subspace_svd_reference`` in
 ``tests/oracles.py``, the oracle of acceptance criterion 7, built from this
-module's start basis, QR and Ritz step.  So it shares the Jacobi kernel
-with both paths and is not an independent oracle for it; LAPACK is the
-oracle of both paths in the tests.  The Jacobi kernel is checked on its own
+module's start basis, QR and Jacobi SVD; its Ritz step and residual test
+live there too.  So it shares the Jacobi kernel with both paths and is not
+an independent oracle for it; LAPACK is the oracle of both paths in the
+tests.  The Jacobi kernel is checked on its own
 against numpy's ``eigh`` and, bit for bit, against the textbook loop in
 ``tests/oracles.py``: each rotation runs in place on a two-row and a
 two-column view.  The QR signs its columns as the Gram-Schmidt loop there
@@ -61,7 +63,6 @@ from . import rng
 from .errors import ConvergenceError, InvalidInputError
 
 JACOBI_CUTOVER = 64
-TOL = 1e-8  # relative residual at which the first Ritz step is the SVD
 MAX_ITER = 10_000  # ARPACK's restarts
 
 _OVERSAMPLE = 8
@@ -244,9 +245,10 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Returns ``(u, s, v)`` with ``min(m, n)`` columns each.  This is the one
     full-SVD kernel: ``truncated_svd`` calls it on small inputs, at k =
     min(m, n), and in the Rayleigh-Ritz step that signs the ARPACK path's
-    factors.  It stays the path for min(m, n) <= ``JACOBI_CUTOVER``: its
-    signs cannot be predicted without running it, so no other solver there
-    keeps the labels' bytes.  A wide input is solved as its transpose, with
+    factors, or is the result where the start basis spans Rⁿ.  It stays
+    the path for min(m, n) <= ``JACOBI_CUTOVER``: its signs cannot be
+    predicted without running it, so no other solver there keeps the
+    labels' bytes.  A wide input is solved as its transpose, with
     the factors swapped back.
 
     Cost: each sweep makes one Python-level rotation per pair of columns,
@@ -276,59 +278,31 @@ def jacobi_svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _start_basis(m: int, n: int, k: int) -> np.ndarray:
     """The orthonormal n x b start basis V₀ of the first Ritz step, b =
     min(k + 8, m, n), derived from a fixed internal key rather than global
-    random state."""
+    random state.  b = n, a basis of all of Rⁿ, exactly when m >= n and
+    n <= k + 8."""
     b = min(k + _OVERSAMPLE, m, n)
     init_key = rng.mix64(rng.TAG_SVD_INIT, m, n, b)
     return _orthonormal_columns(2.0 * rng.uniform_grid(init_key, n, b) - 1.0)
 
 
-def _ritz_step(a: np.ndarray, v: np.ndarray, k: int):
-    """One Rayleigh-Ritz step of ``a`` on the orthonormal basis ``v``.
-
-    Returns ``(u, s, v_r, done)``.  ``jacobi_svd(a @ v)`` gives the Ritz
-    triplets: its left factor and singular values, and its right factor
-    rotates ``v`` into ``v_r``.  ``done`` says that the top k pairs meet
-    the relative residual ``TOL``.
-    """
-    b = v.shape[1]
-    u_r, s, q = jacobi_svd(a @ v)
-    v_r = _orthonormal_columns(v @ q)
-    # a @ v_r == s * u_r by construction, so the informative residual is
-    # the transposed side.
-    resid = a.T @ u_r[:, :k] - v_r[:, :k] * s[:k]
-    resid_norms = np.sqrt(np.sum(resid * resid, axis=0))
-    scale = max(float(s[0]), 1e-300)
-    strict = resid_norms <= TOL * scale
-    done = bool(np.all(strict))
-    if not done and b > k:
-        # Singular values tied at the cut position keep their Ritz vectors
-        # rotating inside the tied cluster forever, yet any basis of that
-        # cluster yields an equally good rank-k approximation (within the
-        # cluster width).  Accept once every value is tol-accurate
-        # (quadratic in the residual) and all unconverged pairs sit against
-        # the boundary.
-        root_tol = np.sqrt(TOL)
-        loose = resid_norms <= root_tol * scale
-        near_boundary = (s[:k] - s[k]) <= 8.0 * root_tol * scale
-        done = bool(np.all(loose) and np.all(strict | near_boundary))
-    return u_r, s, v_r, done
-
-
 def _arpack_svd(a: np.ndarray, k: int):
     """``(u, s, v)`` of ``truncated_svd`` for min(m, n) > ``JACOBI_CUTOVER``
-    and k < min(m, n), in three steps.
+    and k < min(m, n).
 
-    1. The first Ritz step, :func:`_ritz_step` on the start basis V₀ of
-       :func:`_start_basis`.  If it already meets ``TOL``, it is the
-       result, with the bytes subspace iteration returns.  That happens on
-       an all-zero input, where ARPACK cannot start, and on tall inputs
-       (m >= n) with n <= k + 8: V₀ is then a full n x n basis, and the
-       step is an exact n x n Jacobi solve of A·V₀.  A wide input's V₀ has
-       at most m < n columns, so a nonzero wide input goes on to ARPACK.
-    2. Otherwise :func:`_gram_svd` at ``tol=0``: ARPACK to machine
-       precision on the blocked Gram operator.
-    3. Each pair (u_j, v_j) whose v_j has a negative dot product with
-       column j of the first Ritz basis is negated.
+    Both paths take the first Rayleigh-Ritz step of subspace iteration on
+    the start basis V₀ of :func:`_start_basis`: ``jacobi_svd(A·V₀)`` gives
+    Ritz values and left vectors, and its right factor Q rotates V₀ into
+    the right Ritz basis ``_orthonormal_columns(V₀·Q)``.
+
+    - Where V₀ spans all of Rⁿ (a tall input with n <= k + 8), the step is
+      an exact n x n Jacobi solve of A·V₀; on an all-zero input, where
+      ARPACK cannot start, it is exact too.  The step is then the result,
+      with the bytes subspace iteration returns.  A nonzero wide input's V₀
+      has at most m < n columns, so it always goes on to ARPACK.
+    - Otherwise :func:`_gram_svd` runs at ``tol=0``, ARPACK to machine
+      precision on the blocked Gram operator, and each pair (u_j, v_j)
+      whose v_j has a negative dot product with column j of the right
+      Ritz basis is negated.
 
     ``kmeans`` lexsorts the embedded rows, column 0 first, so the sign of
     σ₁'s pair reaches the labels; negating another column leaves every
@@ -344,8 +318,10 @@ def _arpack_svd(a: np.ndarray, k: int):
     from scipy.sparse.linalg import ArpackError
 
     m, n = a.shape
-    u, s, first, done = _ritz_step(a, _start_basis(m, n, k), k)
-    if done:
+    v0 = _start_basis(m, n, k)
+    u, s, q = jacobi_svd(a @ v0)
+    first = _orthonormal_columns(v0 @ q)
+    if v0.shape[1] == n or not a.any():
         return u, s, first
     try:
         u, s, v = _gram_svd(a, k, 0.0)
@@ -368,7 +344,9 @@ def truncated_svd(a, k: int) -> RankKApprox:
     There are two paths.  The result is :func:`jacobi_svd` when min(m, n)
     <= JACOBI_CUTOVER or k = min(m, n).  Otherwise it is ARPACK on the
     blocked Gram operator to machine precision, with each pair signed by
-    the first Rayleigh-Ritz step of subspace iteration (:func:`_arpack_svd`).
+    the first Rayleigh-Ritz step of subspace iteration; that step is the
+    result where its start basis spans Rⁿ (m >= n and n <= k + 8) or the
+    input is all zero (:func:`_arpack_svd`).
 
     The result is deterministic: the Ritz step and ARPACK start from bases
     derived from fixed internal keys, ARPACK draws the restarts of a

@@ -651,6 +651,15 @@ class TestSweep:
             (general(sigma_sq=True), "bad value for 'sigma_sq'"),
             (general(means=[[True, False], [False, True]]), "bad value for 'means'"),
             (general(weights=[0.5, True]), "bad value for 'weights'"),
+            # sigma_sq = 0 leaves the Talagrand ratio without a value.
+            (
+                {
+                    **general(means=[[0, 0], [0, 0]]),
+                    "axes": {"sigma_sq": [0.0]},
+                    "diagnostics": ["conditions"],
+                },
+                "the conditions diagnostic needs sigma_sq > 0",
+            ),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))
             assert main(["sweep", "--spec", str(path), "--out", str(tmp_path / "x")]) == 2

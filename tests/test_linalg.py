@@ -11,11 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cli_env
+import oracles
 from oracles import (
     assignment_totals,
     brute_force_matching,
     jacobi_eigh_reference,
     mgs_reference,
+    ritz_step,
     subspace_svd_reference,
 )
 from specluster import linalg, pipeline
@@ -80,9 +82,9 @@ class TestTruncatedSvd:
         assert got.left_vectors.tobytes() == ref.left_vectors.tobytes()
 
     def test_convergence_failure_reported(self, monkeypatch):
-        # The subspace oracle reads linalg.TOL through the Ritz step.
+        # The subspace oracle reads its own TOL through its Ritz step.
         a = random_matrix(0, 80, 90)
-        monkeypatch.setattr(linalg, "TOL", 1e-14)
+        monkeypatch.setattr(oracles, "TOL", 1e-14)
         with pytest.raises(ConvergenceError, match="did not reach tol=1e-14 in 1 iterations"):
             subspace_svd_reference(a, 2, max_iter=1)
 
@@ -154,10 +156,21 @@ def counting_gram_svd(monkeypatch):
     return calls
 
 
+def assert_is_first_ritz_step(approx, a, k):
+    """``approx`` has the bytes of the oracle's first Ritz step of ``a``,
+    and the oracle's residual test accepts that step."""
+    u, s, v, done = ritz_step(a, linalg._start_basis(*a.shape, k), k)
+    assert done
+    assert approx.left_vectors.tobytes() == u[:, :k].tobytes()
+    assert approx.singular_values.tobytes() == s[:k].tobytes()
+    assert approx.right_vectors.tobytes() == v[:, :k].tobytes()
+
+
 class TestArpackSvd:
     """Above the cutover, ``truncated_svd`` takes the first Ritz step of
-    subspace iteration, then ARPACK on the blocked Gram operator, with each
-    pair signed by that first step."""
+    subspace iteration.  Where its start basis V₀ spans Rⁿ or the input is
+    all zero, that step is the result; otherwise ARPACK runs on the blocked
+    Gram operator, with each pair signed by that first step."""
 
     # One block, tall and wide; then several blocks, tall and wide, once
     # with the shipped block size and once with a small one.
@@ -197,33 +210,43 @@ class TestArpackSvd:
 
     @pytest.mark.parametrize("k", [2, 4])
     def test_zero_input_returns_the_first_ritz_step(self, monkeypatch, k):
-        # ARPACK cannot start on a zero operator; the first Ritz step meets
-        # the tolerance there, and truncated_svd returns it as the subspace
-        # oracle does.
+        # ARPACK cannot start on a zero operator, so truncated_svd returns
+        # the first Ritz step there, tall or wide.  The oracle's residual
+        # test accepts that step, so subspace iteration returns it too.
         calls = counting_gram_svd(monkeypatch)
         for a in (np.zeros((100, 80)), np.zeros((70, 300))):
-            auto, sub = truncated_svd(a, k), subspace_svd_reference(a, k)
+            approx = truncated_svd(a, k)
+            assert_is_first_ritz_step(approx, a, k)
+            sub = subspace_svd_reference(a, k)
             for name in ("left_vectors", "singular_values", "right_vectors"):
-                assert getattr(auto, name).tobytes() == getattr(sub, name).tobytes()
+                assert getattr(approx, name).tobytes() == getattr(sub, name).tobytes()
         assert calls == []
 
-    def test_full_start_basis_returns_the_first_ritz_step(self, monkeypatch):
+    @pytest.mark.parametrize("m, n, k", [(100, 80, 72), (100, 80, 79), (200, 70, 62)])
+    def test_full_start_basis_returns_the_first_ritz_step(self, monkeypatch, m, n, k):
         # A tall input with n <= k + 8 has a full n x n start basis V0, so
-        # the first Ritz step is an exact Jacobi solve of A V0 and meets the
-        # tolerance: truncated_svd returns it and ARPACK never runs.  A wide
-        # input's V0 has at most m < n columns, so ARPACK runs there.
+        # the first Ritz step is an exact Jacobi solve of A V0:
+        # truncated_svd returns it and ARPACK never runs.
         calls = counting_gram_svd(monkeypatch)
-        for m, n, k in [(100, 80, 72), (200, 70, 62)]:
-            a = random_matrix(m + n + k, m, n)
-            approx = truncated_svd(a, k)
-            u, s, v, done = linalg._ritz_step(a, linalg._start_basis(m, n, k), k)
-            assert done
-            assert approx.left_vectors.tobytes() == u[:, :k].tobytes()
-            assert approx.singular_values.tobytes() == s[:k].tobytes()
-            assert approx.right_vectors.tobytes() == v[:, :k].tobytes()
+        a = random_matrix(m + n + k, m, n)
+        assert_is_first_ritz_step(truncated_svd(a, k), a, k)
         assert calls == []
-        truncated_svd(random_matrix(252, 80, 100), 72)
-        assert calls == [72]
+
+    @pytest.mark.parametrize("m, n, k", [(80, 100, 72), (100, 71, 62)])
+    def test_partial_start_basis_runs_arpack(self, monkeypatch, m, n, k):
+        # A wide input's V0 has at most m < n columns, and a tall one with
+        # n = k + 9 has k + 8: the first Ritz step is not exact there, the
+        # oracle's residual test rejects it, and ARPACK runs once, signed
+        # by that step.
+        calls = counting_gram_svd(monkeypatch)
+        a = random_matrix(m + n + k, m, n)
+        approx = truncated_svd(a, k)
+        assert calls == [k]
+        _, _, first, done = ritz_step(a, linalg._start_basis(m, n, k), k)
+        assert not done
+        assert np.all(np.sum(approx.right_vectors * first[:, :k], axis=0) >= 0.0)
+        s = np.linalg.svd(a, compute_uv=False)
+        assert np.abs(approx.singular_values - s[:k]).max() <= 1e-12 * s[0]
 
     @pytest.mark.parametrize("k", [2, 4, 6])
     def test_rank_deficient_inputs_match_lapack(self, monkeypatch, k):
@@ -283,8 +306,8 @@ class TestArpackSvd:
 
     def test_full_rank_k_with_tiny_singular_value(self):
         # sigma_70 = 5e-8 sigma_1: jacobi_svd completes its left vector by
-        # QR, so its residual never meets TOL, and the subspace oracle
-        # raises ConvergenceError there after 10,000 iterations.
+        # QR, so its residual never meets the oracle's TOL, and the subspace
+        # oracle raises ConvergenceError there after 10,000 iterations.
         rs = np.random.RandomState(70)
         u, _ = np.linalg.qr(rs.randn(100, 70))
         v, _ = np.linalg.qr(rs.randn(70, 70))
