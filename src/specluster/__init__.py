@@ -27,7 +27,6 @@ from .errors import ConvergenceError, InvalidInputError, SpeclusterError
 from .kmeans import KMeansResult, kmeans
 from .linalg import (
     RankKApprox,
-    frobenius_norm,
     jacobi_svd,
     match_center_sets,
     spectral_norm,
@@ -41,7 +40,6 @@ from .models import (
     bsbm_to_mixture,
     delta_v,
     expected_from_truth,
-    expected_matrix,
     indicator_model,
     load_dataset,
     min_symmetric_difference,
@@ -114,10 +112,8 @@ __all__ = [
     "delta_v",
     "derive",
     "expected_from_truth",
-    "expected_matrix",
     "find_centers",
     "find_centers_detailed",
-    "frobenius_norm",
     "heuristic_verdicts",
     "indicator_model",
     "jacobi_svd",

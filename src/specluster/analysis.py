@@ -9,7 +9,7 @@ booleans under a caller-chosen slack constant, never into hard pass/fail.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -271,14 +271,17 @@ def assignment_margins(
     ``centers`` must be aligned with the model means so that center r
     estimates mean r.
     """
-    batch = _margin_terms(
+    terms = _margin_terms(
         np.asarray(sample_row, dtype=np.float64)[None, :], true_index, centers, model
     )
-    rivals, gap_sq, center_cross, sample_cross, degenerate = batch
-    return AssignmentMargins(rivals, gap_sq, center_cross, sample_cross[0], degenerate)
+    return replace(terms, sample_cross=terms.sample_cross[0])
 
 
-def _margin_terms(rows: np.ndarray, r: int, centers: CenterSet, model: MixtureModel):
+def _margin_terms(
+    rows: np.ndarray, r: int, centers: CenterSet, model: MixtureModel
+) -> AssignmentMargins:
+    """The margin terms of every row, as one sample from component ``r``
+    each: ``sample_cross`` has a row per draw."""
     if centers.k != model.k or centers.n != model.n:
         raise InvalidInputError("center set and model dimensions differ")
     if rows.shape[1] != centers.n:
@@ -289,10 +292,13 @@ def _margin_terms(rows: np.ndarray, r: int, centers: CenterSet, model: MixtureMo
     rivals = np.array([s for s in range(centers.k) if s != r], dtype=np.int64)
     direction = c[r][None, :] - c[rivals]
     gap_sq = np.sum(direction * direction, axis=1)
-    center_cross = np.abs(direction @ (model.means[r] - c[r]))
-    sample_cross = np.abs((rows - model.means[r]) @ direction.T)
-    degenerate = gap_sq <= 0.0
-    return rivals, gap_sq, center_cross, sample_cross, degenerate
+    return AssignmentMargins(
+        rivals=rivals,
+        gap_sq=gap_sq,
+        center_cross=np.abs(direction @ (model.means[r] - c[r])),
+        sample_cross=np.abs((rows - model.means[r]) @ direction.T),
+        degenerate=gap_sq <= 0.0,
+    )
 
 
 @dataclass(frozen=True)
@@ -311,17 +317,15 @@ def margin_batch(rows, true_index: int, centers: CenterSet, model: MixtureModel)
     per-draw validity of both quarter-gap margin inequalities (over all
     rivals)."""
     rows = as_matrix(rows, "rows")
-    rivals, gap_sq, center_cross, sample_cross, degenerate = _margin_terms(
-        rows, true_index, centers, model
-    )
+    terms = _margin_terms(rows, true_index, centers, model)
     nearest = np.argmin(sq_dists(rows, centers.centers), axis=1)
     correct = int(np.count_nonzero(nearest == true_index))
-    part1 = bool(np.all(center_cross < 0.25 * gap_sq))
-    part2_each = np.all(sample_cross < 0.25 * gap_sq[None, :], axis=1)
+    part1 = bool(np.all(terms.part1_holds()))
+    part2_each = np.all(terms.part2_holds(), axis=1)
     return MarginBatch(
         draws=rows.shape[0],
         correct=correct,
         part1_all=rows.shape[0] if part1 else 0,
         part2_all=int(np.count_nonzero(part2_each)),
-        degenerate=bool(np.any(degenerate)),
+        degenerate=bool(np.any(terms.degenerate)),
     )

@@ -296,13 +296,14 @@ def _aggregate(spec: SweepSpec, params: dict, records: list[TrialRecord]) -> Cel
 def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     """Run every (cell, trial) and aggregate per cell.
 
-    All cells are validated before any trial runs; with the ``conditions``
-    diagnostic, a cell whose model has sigma_sq = 0 is rejected, since its
-    Talagrand ratio would divide by zero.  Trials run in a pool of
-    ``workers`` processes (default: the CPUs this process may use, capped at
-    the number of trials).  Workers are forked rather than spawned, so they
-    do not pay the package import again; with one worker, or where ``fork``
-    is unavailable, trials run inline.  The package imports scipy on first
+    All cells are validated before any trial runs.  With the ``conditions``
+    or ``center_error`` diagnostic, a cell whose model has one component is
+    rejected, since it has no separation; with ``conditions``, so is one
+    whose model has sigma_sq = 0, since its Talagrand ratio would divide by
+    zero.  Trials run in a pool of ``workers`` processes (default: the CPUs
+    this process may use, capped at the number of trials).  Workers are
+    forked rather than spawned, so they do not pay the package import again;
+    with one worker, or where ``fork`` is unavailable, trials run inline.  The package imports scipy on first
     use, so the pool branch imports it before forking, and the workers
     inherit it instead of each importing it again.  Records are collected
     in grid order, so the result is the same for every worker count.  When
@@ -322,6 +323,11 @@ def run_sweep(spec: SweepSpec, workers: int | None = None) -> SweepResult:
     cells = spec.cells()
     for params in cells:
         model = build_cell(spec.family, params)[0]
+        for diagnostic in ("conditions", "center_error"):
+            if diagnostic in spec.diagnostics and model.k < 2:
+                raise InvalidInputError(
+                    f"cell {params}: the {diagnostic} diagnostic needs at least two components"
+                )
         if "conditions" in spec.diagnostics and model.sigma_sq <= 0:
             raise InvalidInputError(f"cell {params}: the conditions diagnostic needs sigma_sq > 0")
 

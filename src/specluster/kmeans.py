@@ -25,17 +25,14 @@ class KMeansResult:
 
     ``objective`` is exactly the sum of squared distances from each row to
     its labeled centroid, recomputable from ``labels`` and ``centroids``.
-    ``objective_trace`` records the objective after every Lloyd iteration of
-    the winning restart (non-increasing).  ``degenerate`` flags inputs with
-    fewer distinct rows than k, where surplus centers were placed on
-    arbitrary rows.
+    ``degenerate`` flags inputs with fewer distinct rows than k, where
+    surplus centers were placed on arbitrary rows.
     """
 
     labels: np.ndarray
     centroids: np.ndarray
     objective: float
     iterations: int
-    objective_trace: tuple[float, ...]
     degenerate: bool
 
 
@@ -107,7 +104,6 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray):
     k = c0.shape[0]
     c = c0.copy()
     labels = None
-    trace: list[float] = []
     iterations = 0
     for _ in range(MAX_ITER):
         iterations += 1
@@ -117,10 +113,9 @@ def _lloyd(x: np.ndarray, x_sq: np.ndarray, c0: np.ndarray):
         converged = labels is not None and bool((labels == new_labels).all())
         labels = new_labels
         c = _group_means(x, labels, k)
-        trace.append(_sse(x, labels, c))
         if converged:
             break
-    return labels, c, trace[-1], iterations, tuple(trace)
+    return labels, c, iterations
 
 
 def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
@@ -143,10 +138,7 @@ def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
     xc = np.ascontiguousarray(x[order])
-    if m > 1:
-        distinct = 1 + int(np.count_nonzero(np.any(xc[1:] != xc[:-1], axis=1)))
-    else:
-        distinct = 1
+    distinct = 1 + int(np.count_nonzero(np.any(xc[1:] != xc[:-1], axis=1)))
     degenerate = distinct < k
     xc_sq = np.sum(xc * xc, axis=1)
 
@@ -154,11 +146,12 @@ def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
     for j in range(RESTARTS):
         stream = rng.Stream(seed, rng.TAG_KMEANS, j)
         c0 = _plus_plus_init(xc, xc_sq, k, stream)
-        labels_c, c, obj, iters, trace = _lloyd(xc, xc_sq, c0)
+        labels_c, c, iters = _lloyd(xc, xc_sq, c0)
+        obj = _sse(xc, labels_c, c)
         if best is None or obj < best[0]:
-            best = (obj, labels_c, c, iters, trace)
+            best = (obj, labels_c, c, iters)
 
-    obj, labels_c, c, iters, trace = best
+    obj, labels_c, c, iters = best
     labels = np.empty(m, dtype=np.int64)
     labels[order] = labels_c
-    return KMeansResult(labels, c, obj, iters, trace, degenerate)
+    return KMeansResult(labels, c, obj, iters, degenerate)

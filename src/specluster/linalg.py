@@ -127,12 +127,6 @@ def sq_dists(a: np.ndarray, c: np.ndarray, a_sq: np.ndarray | None = None) -> np
     return a_sq[:, None] + (c * c).sum(axis=1)[None, :] - 2.0 * (a @ c.T)
 
 
-def frobenius_norm(a) -> float:
-    """Square root of the sum of squared entries."""
-    a = as_matrix(a)
-    return float(np.sqrt(np.sum(a * a)))
-
-
 @dataclass(frozen=True, eq=False)
 class RankKApprox:
     """Rank-k factorization ``left_vectors @ diag(singular_values) @ right_vectors.T``.
@@ -331,6 +325,12 @@ def _arpack_svd(a: np.ndarray, k: int):
     return u * signs, s, v * signs
 
 
+def takes_jacobi(shape: tuple[int, int], k: int) -> bool:
+    """Whether :func:`truncated_svd` of rank ``k`` on a matrix of ``shape``
+    is :func:`jacobi_svd`'s."""
+    return min(shape) <= JACOBI_CUTOVER or k == min(shape)
+
+
 def truncated_svd(a, k: int) -> RankKApprox:
     """Best rank-k approximation of ``a`` as a :class:`RankKApprox`.
 
@@ -365,7 +365,7 @@ def truncated_svd(a, k: int) -> RankKApprox:
     k = as_count(k, "k", 1)
     if k > min(m, n):
         raise InvalidInputError(f"k={k} out of range for shape {a.shape}")
-    if min(m, n) <= JACOBI_CUTOVER or k == min(m, n):
+    if takes_jacobi(a.shape, k):
         u, s, v = jacobi_svd(a)
     else:
         u, s, v = _arpack_svd(a, k)

@@ -263,16 +263,6 @@ class BinaryDataset:
         return self.matrix.shape[1]
 
 
-def _placement(model: MixtureModel, m: int, seed: int):
-    """The checked seed, canonical truth order (component blocks) and its
-    seeded placement."""
-    seed = as_int(seed, "seed")
-    counts = cluster_counts(model, m)
-    truth_blocks = np.repeat(np.arange(model.k), counts)
-    perm = rng.permutation(rng.mix64(seed, rng.TAG_SAMPLE_ORDER, m), m)
-    return seed, truth_blocks, perm
-
-
 def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
     """Draw exactly w_r * m rows from each component, in seeded random order.
 
@@ -284,19 +274,14 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
     against its mean as an integer threshold, by row blocks, so no
     canonical-order copy or (m, n) matrix of means is built.
     """
-    seed, truth_blocks, perm = _placement(model, m, seed)
+    seed = as_int(seed, "seed")
+    truth_blocks = np.repeat(np.arange(model.k), cluster_counts(model, m))
+    perm = rng.permutation(rng.mix64(seed, rng.TAG_SAMPLE_ORDER, m), m)
     truth = truth_blocks[perm]
     matrix = rng.bernoulli_grid(
         rng.mix64(seed, rng.TAG_SAMPLE_ENTRIES, m), perm, model.means, truth
     )
     return BinaryDataset(matrix=matrix, truth=truth, model=model, seed=seed, _binary=True)
-
-
-def expected_matrix(model: MixtureModel, m: int, seed: int) -> np.ndarray:
-    """Row-wise expectation of ``sample(model, m, seed)``: row i is the mean
-    of the component that generated row i under the same placement."""
-    _, truth_blocks, perm = _placement(model, m, seed)
-    return model.means[truth_blocks[perm]]
 
 
 def _checked_truth(model: MixtureModel, truth) -> np.ndarray:

@@ -166,19 +166,21 @@ def assign(matrix, centers) -> np.ndarray:
     return np.argmin(sq_dists(a, c), axis=1).astype(np.int64)
 
 
-def _split_pays(shape: tuple[int, int]) -> bool:
+def _split_pays(shape: tuple[int, int], k: int) -> bool:
     """Whether cluster's second half should run in a forked child.
 
-    It must pay: the halves take the Python-bound Jacobi path with at least
-    ``_SPLIT_MIN_JACOBI`` rows and columns (larger halves run ARPACK, which
+    It must pay: the rank-``k`` SVDs of the halves take the Python-bound
+    Jacobi path (:func:`linalg.takes_jacobi`) with at least
+    ``_SPLIT_MIN_JACOBI`` rows and columns (other halves run ARPACK, which
     puts Gram products of more than one row block on threads).  And it must
     be safe: the platform can fork, the process may use more than one CPU
     (sweep workers count one), and no other Python thread is alive, since a
     lock it holds would stay held in the child.
     """
-    m, n = shape
+    half = ((shape[0] + 1) // 2, shape[1])
     return (
-        _SPLIT_MIN_JACOBI <= min((m + 1) // 2, n) <= linalg.JACOBI_CUTOVER
+        min(half) >= _SPLIT_MIN_JACOBI
+        and linalg.takes_jacobi(half, k)
         and linalg._can_fork()
         and (linalg._cpus or linalg._usable_cpus()) > 1
         and threading.active_count() == 1
@@ -271,7 +273,7 @@ def cluster_detailed(matrix, k: int, seed: int) -> ClusterDetail:
         return find_centers_detailed(gather(rows), k, rng.mix64(seed, rng.TAG_HALF, half))
 
     with linalg._blas_on_one_thread():
-        if _split_pays(a.shape):
+        if _split_pays(a.shape, k):
             d1, d2 = _in_two_processes(centers, (first, 0), (second, 1))
         else:
             d1, d2 = centers(first, 0), centers(second, 1)

@@ -275,7 +275,6 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
     def lloyd(x, c0):
         c = c0.copy()
         labels = None
-        trace = []
         iterations = 0
         for _ in range(max_iter):
             iterations += 1
@@ -288,11 +287,10 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
             np.add.at(sums, labels, x)
             counts = np.bincount(labels, minlength=k).astype(np.float64)
             c = sums / counts[:, None]
-            diff = x - c[labels]
-            trace.append(float(np.sum(diff * diff)))
             if converged:
                 break
-        return labels, c, trace[-1], iterations, tuple(trace)
+        diff = x - c[labels]
+        return labels, c, float(np.sum(diff * diff)), iterations
 
     order = np.lexsort(x.T[::-1]) if x.shape[1] else np.arange(m)
     xc = np.ascontiguousarray(x[order])
@@ -304,14 +302,14 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
     best = None
     for j in range(restarts):
         stream = rng.Stream(seed, rng.TAG_KMEANS, j)
-        labels_c, c, obj, iters, trace = lloyd(xc, plus_plus_init(xc, stream))
+        labels_c, c, obj, iters = lloyd(xc, plus_plus_init(xc, stream))
         if best is None or obj < best[0]:
-            best = (obj, labels_c, c, iters, trace)
+            best = (obj, labels_c, c, iters)
 
-    obj, labels_c, c, iters, trace = best
+    obj, labels_c, c, iters = best
     labels = np.empty(m, dtype=np.int64)
     labels[order] = labels_c
-    return KMeansResult(labels, c, obj, iters, trace, distinct < k)
+    return KMeansResult(labels, c, obj, iters, distinct < k)
 
 
 def sample_reference(model, m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -19,7 +19,7 @@ from specluster import linalg, pipeline, rng
 from specluster.errors import InvalidInputError
 from specluster.models import (
     MixtureModel,
-    expected_matrix,
+    expected_from_truth,
     noise_matrix,
     read_matrix_market,
     sample,
@@ -91,7 +91,7 @@ def test_sample_and_noise_match_whole_matrix_references(n, m, k, values, seed, b
     assert ds.matrix.tobytes() == ref_matrix.tobytes()
     assert ds.truth.tobytes() == ref_truth.tobytes()
     assert noise.tobytes() == noise_reference(ds.matrix, model, ds.truth).tobytes()
-    assert expected_matrix(model, m, seed).tobytes() == model.means[ref_truth].tobytes()
+    assert expected_from_truth(model, ds.truth).tobytes() == model.means[ref_truth].tobytes()
 
 
 @given(

@@ -610,9 +610,14 @@ class TestSweep:
             assert f": unknown key '{key}'" in capsys.readouterr().err
             assert not (tmp_path / "x.csv").exists()
 
-    def test_malformed_cell_value_exits_2(self, tmp_path, capsys):
+    def test_malformed_cell_value_exits_2(self, tmp_path, monkeypatch, capsys):
+        from specluster import harness
         from specluster.cli import main
 
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
         path = tmp_path / "spec.json"
         spec = {
             "family": "bsbm",
@@ -659,6 +664,19 @@ class TestSweep:
                     "diagnostics": ["conditions"],
                 },
                 "the conditions diagnostic needs sigma_sq > 0",
+            ),
+            # One component has no separation.
+            *(
+                (
+                    {
+                        **general(means=[[0.5, 0.5]], weights=[1.0]),
+                        "axes": {"sigma_sq": [0.5]},
+                        "diagnostics": [diagnostic],
+                    },
+                    f"cell {{'m': 8, 'means': [[0.5, 0.5]], 'weights': [1.0], 'sigma_sq': 0.5}}: "
+                    f"the {diagnostic} diagnostic needs at least two components",
+                )
+                for diagnostic in ("conditions", "center_error")
             ),
         ]:
             path.write_text(json.dumps({**spec, "fixed": fixed, **update}))

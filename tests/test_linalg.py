@@ -28,7 +28,6 @@ from specluster import (
     BsbmParams,
     cluster,
     expected_from_truth,
-    frobenius_norm,
     jacobi_svd,
     match_center_sets,
     noise_matrix,
@@ -342,11 +341,6 @@ class TestNorms:
         column = np.arange(-3.0, 4.0)[:, None]
         assert spectral_norm(column) == pytest.approx(np.linalg.norm(column), rel=1e-15)
 
-    def test_frobenius_examples(self):
-        assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
-        assert frobenius_norm(np.zeros((2, 3))) == 0.0
-        assert frobenius_norm(np.eye(3)) == pytest.approx(np.sqrt(3.0))
-
     def test_spectral_accuracy_large(self):
         for seed in range(4):
             a = random_matrix(50 + seed, 150, 220)
@@ -365,7 +359,7 @@ class TestNorms:
             cases.append(random_matrix(seed, m, n, scale=3.0))
         for a in cases + cutover_inputs():
             m, n = a.shape
-            spec, frob = spectral_norm(a), frobenius_norm(a)
+            spec, frob = spectral_norm(a), np.linalg.norm(a)
             assert spec <= frob + 1e-9
             assert frob <= np.sqrt(min(m, n)) * spec + 1e-9
 

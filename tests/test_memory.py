@@ -86,7 +86,7 @@ def test_cluster_detailed_holds_a_half_beyond_its_input(dataset):
     # both run in this process.  Each cluster is averaged by row blocks, not
     # through a copy of its rows.
     ds, _ = dataset
-    assert not pipeline._split_pays(ds.matrix.shape)
+    assert not pipeline._split_pays(ds.matrix.shape, K)
     assert traced_peak(cluster_detailed, ds.matrix, K, 1) <= 0.65 * ds.matrix.nbytes
 
 

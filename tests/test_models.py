@@ -16,7 +16,6 @@ from specluster import (
     bsbm_to_mixture,
     delta_v,
     expected_from_truth,
-    expected_matrix,
     indicator_model,
     load_dataset,
     min_symmetric_difference,
@@ -164,9 +163,8 @@ class TestSampling:
     @pytest.mark.parametrize("seed", [1.5, 1.0, True])
     def test_non_integral_seed_rejected(self, seed):
         model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
-        for draw in (sample, expected_matrix):
-            with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
-                draw(model, 40, seed)
+        with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
+            sample(model, 40, seed)
 
     def test_numpy_integer_seeds_give_int_seed_bytes(self, tmp_path):
         model = bsbm_to_mixture(BsbmParams.balanced(20, 15, 2, 0.4, 0.1))
@@ -180,9 +178,6 @@ class TestSampling:
             got_files = save_dataset(got, tmp_path / "got")
             for a, b in zip(got_files, ref_files):
                 assert a.read_bytes() == b.read_bytes()
-            assert expected_matrix(model, 20, seed).tobytes() == (
-                expected_matrix(model, 20, int(seed)).tobytes()
-            )
 
     def test_column_mean_within_binomial_band(self):
         # One Bernoulli(0.5) column, m = 10_000: the mean falls within 3
@@ -209,19 +204,21 @@ class TestSampling:
 class TestExpectedMatrix:
     def test_single_component(self):
         model = MixtureModel(np.array([[0.3, 0.7]]), np.array([1.0]), sigma_sq=1.0)
-        e = expected_matrix(model, 4, 0)
+        e = expected_from_truth(model, sample(model, 4, 0).truth)
         assert np.array_equal(e, np.tile([0.3, 0.7], (4, 1)))
 
     def test_rank_at_most_k(self):
         model = bsbm_to_mixture(BsbmParams.balanced(30, 12, 3, 0.4, 0.1))
-        e = expected_matrix(model, 30, 5)
+        e = expected_from_truth(model, sample(model, 30, 5).truth)
         assert np.linalg.matrix_rank(e) <= 3
 
     def test_pairs_with_sample_placement(self):
-        model = bsbm_to_mixture(BsbmParams.balanced(20, 10, 2, 0.45, 0.05))
+        # With every mean 0 or 1 a sample is its own expectation, so E from
+        # the sample's truth labels must place each mean on its own row.
+        model = indicator_model(10, 2, [0.5, 0.5])
         ds = sample(model, 20, 3)
-        e = expected_matrix(model, 20, 3)
-        assert np.array_equal(e, expected_from_truth(model, ds.truth))
+        assert not np.array_equal(ds.truth, np.sort(ds.truth))
+        assert np.array_equal(ds.matrix, expected_from_truth(model, ds.truth))
 
     def test_monte_carlo_entry_mean(self):
         # Across seeds, each observed entry averages to its paired
@@ -229,8 +226,9 @@ class TestExpectedMatrix:
         model = bsbm_to_mixture(BsbmParams.balanced(10, 6, 2, 0.45, 0.05))
         seeds = range(200)
         i, j = 2, 3
-        observed = np.array([float(sample(model, 10, s).matrix[i, j]) for s in seeds])
-        expected = np.array([float(expected_matrix(model, 10, s)[i, j]) for s in seeds])
+        draws = [sample(model, 10, s) for s in seeds]
+        observed = np.array([float(ds.matrix[i, j]) for ds in draws])
+        expected = np.array([float(expected_from_truth(model, ds.truth)[i, j]) for ds in draws])
         pooled_se = np.sqrt(np.sum(expected * (1.0 - expected))) / len(observed)
         assert abs(observed.mean() - expected.mean()) <= 3 * pooled_se
 
@@ -243,7 +241,7 @@ class TestIndicatorModel:
             [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]],
         )
         ds = sample(model, 8, 0)
-        assert np.array_equal(ds.matrix, expected_matrix(model, 8, 0))
+        assert np.array_equal(ds.matrix, expected_from_truth(model, ds.truth))
 
 
 class TestSerialization:

@@ -338,9 +338,10 @@ class TestSecondProcess:
         yield counted
         assert_no_child_left()
 
-    @pytest.mark.parametrize("m, n, k", [(400, 64, 2), (64, 400, 3)])
+    @pytest.mark.parametrize("m, n, k", [(400, 64, 2), (64, 400, 3), (160, 66, 66)])
     def test_split_matches_inline_bytes(self, monkeypatch, forks, m, n, k):
-        # A tall and a wide input on the Jacobi path.
+        # A tall and a wide input below JACOBI_CUTOVER, and halves above it
+        # that take the Jacobi path because k = min(half, n).
         a = bsbm_matrix(m, n, k)
         split = cluster_detailed(a, k, 5)
         assert len(forks) == 1
@@ -585,7 +586,7 @@ class TestSecondProcess:
             "    a = sample(bsbm_to_mixture(BsbmParams.balanced(m, n, k, 0.3, 0.1)), m, 0).matrix\n"
             "    for cpus in (None, 1):\n"
             "        linalg._cpus = cpus\n"
-            "        assert pipeline._split_pays(a.shape) == (cpus is None and n == 64)\n"
+            "        assert pipeline._split_pays(a.shape, k) == (cpus is None and n == 64)\n"
             "        print(m, n, cluster(a, k, 5).tobytes().hex())\n"
             "    linalg._cpus = None\n"
         )
