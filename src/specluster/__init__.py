@@ -42,7 +42,6 @@ from .models import (
     expected_from_truth,
     indicator_model,
     load_dataset,
-    min_symmetric_difference,
     noise_matrix,
     sample,
     save_dataset,
@@ -122,7 +121,6 @@ __all__ = [
     "margin_batch",
     "match_center_sets",
     "match_centers_to_means",
-    "min_symmetric_difference",
     "noise_matrix",
     "overlap_check",
     "run_sweep",

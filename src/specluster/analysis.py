@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .errors import InvalidInputError
-from .linalg import as_matrix, linear_sum_assignment, match_center_sets, spectral_norm, sq_dists
+from .linalg import as_count, as_matrix, linear_sum_assignment, match_center_sets, spectral_norm, sq_dists
 from .models import BinaryDataset, MixtureModel, delta_v, noise_matrix, separation
 from .pipeline import CenterSet
 
@@ -153,6 +153,7 @@ def score(predicted, truth, k: int) -> RecoveryScore:
 def _matched_confusion(truth: np.ndarray, predicted: np.ndarray, k: int):
     """The k x k truth-by-predicted count matrix and the (rows, cols) assignment
     maximizing its matched total; labels outside [0, k) raise InvalidInputError."""
+    k = as_count(k, "k", 1)
     for name, lab in (("predicted", predicted), ("truth", truth)):
         if lab.size and (lab.min() < 0 or lab.max() >= k):
             raise InvalidInputError(f"{name} labels out of range [0, {k})")

@@ -37,6 +37,7 @@ from .models import (
     load_dataset,
     model_from_spec,
     noise_matrix,
+    output_paths,
     read_json,
     sample,
     save_dataset,
@@ -66,6 +67,14 @@ def _resolve_seed(args) -> int:
         except ValueError as exc:
             raise InvalidInputError(f"{ENV_SEED} must be an integer, got {raw!r}") from exc
     return 0
+
+
+def _check_out_dir(path) -> None:
+    """Raise InvalidInputError unless the directory of the output ``path``
+    exists: each command checks it before it loads or runs anything."""
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise InvalidInputError(f"--out: {parent} is not a directory")
 
 
 def _parse_kv(text: str) -> dict:
@@ -102,6 +111,7 @@ def _report_over_matrix(dataset: BinaryDataset) -> dict:
 
 def cmd_generate(args) -> int:
     seed = _resolve_seed(args)
+    _check_out_dir(args.out)
     if (args.bsbm is None) == (args.model is None):
         raise InvalidInputError("generate needs exactly one of --bsbm or --model")
     if args.bsbm is not None:
@@ -123,6 +133,7 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     seed = _resolve_seed(args)
+    _check_out_dir(args.out)
     dataset = load_dataset(args.data)
     detail = cluster_detailed(dataset.matrix, args.k, seed)
     labels = detail.labels.tolist()
@@ -157,9 +168,10 @@ def cmd_sweep(args) -> int:
     # Imported here: only sweeps need the harness and its process pool.
     from .harness import SweepSpec, run_sweep, write_csv, write_records_jsonl
 
+    csv_path, jsonl_path = output_paths(args.out, (".csv", ".jsonl"))
+    _check_out_dir(csv_path)
     spec = SweepSpec.from_json(args.spec)
     result = run_sweep(spec, workers=args.workers)
-    csv_path = Path(args.out).with_suffix(".csv")
     write_csv(result, csv_path)
     out = {
         "csv": str(csv_path),
@@ -168,7 +180,6 @@ def cmd_sweep(args) -> int:
         "records": None,
     }
     if args.trial_log:
-        jsonl_path = Path(args.out).with_suffix(".jsonl")
         write_records_jsonl(result, jsonl_path)
         out["records"] = str(jsonl_path)
     _log(args, f"wrote {csv_path}")

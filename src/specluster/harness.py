@@ -113,6 +113,9 @@ class SweepSpec:
     def __post_init__(self):
         if self.family not in ("bsbm", "general"):
             raise InvalidInputError(f"unknown model family {self.family!r}")
+        for name in ("axes", "fixed"):
+            if not isinstance(getattr(self, name), dict):
+                raise InvalidInputError(f"{name} must be a dict, got {getattr(self, name)!r}")
         if not self.axes:
             raise InvalidInputError("sweep needs at least one grid axis")
         for name, values in self.axes.items():

@@ -29,10 +29,12 @@ usable CPU, so ARPACK's bytes do not depend on the CPU, thread or BLAS
 thread count.
 
 This is the only module that uses scipy, and each function imports what it
-needs on first use: the SVD loads ``scipy.linalg`` and, above the cutover,
-``scipy.sparse.linalg``; ``spectral_norm`` loads ``scipy.sparse.linalg``
-above the cutover; the assignment solver ``scipy.sparse.csgraph`` (which
-loads ``scipy.sparse.linalg`` too).  No function loads
+needs in its own body: the QR loads LAPACK (``scipy.linalg.lapack``), and
+so does the OpenBLAS scan, whose libraries LAPACK brings; the SVD loads
+``scipy.linalg`` and, above the cutover, ``scipy.sparse.linalg``;
+``spectral_norm`` loads ``scipy.sparse.linalg`` above the cutover; the
+assignment solver ``scipy.sparse.csgraph`` (which loads
+``scipy.sparse.linalg`` too).  No function loads
 ``scipy.optimize``: on top of LAPACK, on a 2-vCPU host, it took about
 85 ms and 21 MB to import, and csgraph about 12 ms and 5 MB.
 
@@ -165,10 +167,11 @@ def _orthonormal_columns(w: np.ndarray) -> np.ndarray:
     convention Gram-Schmidt produces.  Q is orthonormal for every input:
     where ``w`` is rank deficient, the reflectors complete the basis.
     """
-    geqrf, orgqr = _lapack_qr()
-    qr, tau, _, _ = geqrf(w)
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+
+    qr, tau, _, _ = dgeqrf(w)
     signs = np.where(qr.diagonal() < 0.0, -1.0, 1.0)
-    q, _, _ = orgqr(qr, tau, overwrite_a=True)
+    q, _, _ = dorgqr(qr, tau, overwrite_a=True)
     q *= signs
     return q
 
@@ -309,18 +312,13 @@ def _arpack_svd(a: np.ndarray, k: int):
     Lloyd assignment: the labels keep the loop's bytes (the README gives
     the census).
     """
-    from scipy.sparse.linalg import ArpackError
-
     m, n = a.shape
     v0 = _start_basis(m, n, k)
     u, s, q = jacobi_svd(a @ v0)
     first = _orthonormal_columns(v0 @ q)
     if v0.shape[1] == n or not a.any():
         return u, s, first
-    try:
-        u, s, v = _gram_svd(a, k, 0.0)
-    except ArpackError as exc:
-        raise ConvergenceError(f"truncated SVD: {exc}") from exc
+    u, s, v = _gram_svd(a, k, 0.0, "truncated SVD")
     signs = np.where(np.sum(v * first[:, :k], axis=0) < 0.0, -1.0, 1.0)
     return u * signs, s, v * signs
 
@@ -384,14 +382,6 @@ def import_scipy() -> None:
     import scipy.sparse.linalg  # noqa: F401
 
 
-@functools.cache
-def _lapack_qr():
-    """LAPACK's ``dgeqrf`` and ``dorgqr``, looked up on the first call only."""
-    from scipy.linalg import lapack
-
-    return lapack.dgeqrf, lapack.dorgqr
-
-
 def linear_sum_assignment(cost):
     """Minimum-cost matching of a square cost matrix, as ``(rows, cols)``
     with ``rows = arange(k)``: row r is matched to column ``cols[r]``.
@@ -447,13 +437,14 @@ def _openblas_thread_controls() -> tuple:
     numpy and scipy may each bundle their own OpenBLAS, so there may be
     several.  A library exports them plain, with a 64-bit-integer suffix, or
     with the scipy-openblas wheels' prefix.  The libraries are found in
-    ``/proc/self/maps``; where it is absent there are none.  LAPACK is
-    loaded before the one scan: it brings scipy's OpenBLAS, and the other
-    scipy modules the package uses bring none, so the scan sees every
-    library and its result is cached for good.  Reading the maps and
+    ``/proc/self/maps``; where it is absent there are none.  The function
+    imports LAPACK before its one scan: LAPACK brings scipy's OpenBLAS, and
+    the other scipy modules the package uses bring none, so the scan sees
+    every library and its result is cached for good.  Reading the maps and
     opening the libraries costs about a millisecond.
     """
-    _lapack_qr()
+    import scipy.linalg.lapack  # noqa: F401
+
     try:
         with open("/proc/self/maps") as maps:
             fields = (line.split(maxsplit=5) for line in maps)
@@ -503,7 +494,7 @@ def _blas_on_one_thread():
             set_threads(count)
 
 
-def _gram_svd(a: np.ndarray, k: int, tol: float):
+def _gram_svd(a: np.ndarray, k: int, tol: float, what: str):
     """``(u, s, v)``: the top k singular triplets of ``a`` (k < min(m, n)),
     sorted descending, from ARPACK on its blocked Gram operator.
 
@@ -518,8 +509,9 @@ def _gram_svd(a: np.ndarray, k: int, tol: float):
     of ``threads - 1`` more, which lives only for the call, take blocks t,
     t + threads, ...  Every
     OpenBLAS found in ``/proc/self/maps`` runs on one thread meanwhile, so
-    the bytes depend on the shape alone.  ARPACK failures raise
-    ``scipy.sparse.linalg.ArpackError``.
+    the bytes depend on the shape alone.  An ARPACK failure, running out
+    of ``MAX_ITER`` restarts included, raises :class:`ConvergenceError`
+    with the message ``"{what}: {ARPACK's message}"``.
     """
     import scipy.sparse.linalg as sparse_linalg
     from scipy.linalg import svd
@@ -557,7 +549,10 @@ def _gram_svd(a: np.ndarray, k: int, tol: float):
         # seeded generator scipy draws it from OS entropy, and the spare
         # columns of a rank-deficient input change from run to run.
         restarts = np.random.default_rng(v0_key)
-        _, vec = sparse_linalg.eigsh(op, k=k, tol=tol, maxiter=MAX_ITER, v0=v0, rng=restarts)
+        try:
+            _, vec = sparse_linalg.eigsh(op, k=k, tol=tol, maxiter=MAX_ITER, v0=v0, rng=restarts)
+        except sparse_linalg.ArpackError as exc:
+            raise ConvergenceError(f"{what}: {exc}") from exc
         vec, _ = np.linalg.qr(vec)
         u, s, wt = svd(tall @ vec, full_matrices=False, overwrite_a=True)
     v = vec @ wt.T
@@ -601,12 +596,7 @@ def spectral_norm(a) -> float:
     if not a.any():
         # ARPACK cannot start from the zero residual a zero operator gives.
         return 0.0
-    from scipy.sparse.linalg import ArpackError
-
-    try:
-        return float(_gram_svd(a, 1, _NORM_TOL)[1][0])
-    except ArpackError as exc:
-        raise ConvergenceError(f"spectral norm: {exc}") from exc
+    return float(_gram_svd(a, 1, _NORM_TOL, "spectral norm")[1][0])
 
 
 def _center_rows(c) -> np.ndarray:

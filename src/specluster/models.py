@@ -17,7 +17,6 @@ itself, for a caller that no longer needs A: the CLI's ``generate`` and
 from __future__ import annotations
 
 import io
-import itertools
 import json
 import math
 import operator
@@ -29,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .errors import InvalidInputError
-from .linalg import as_int, as_matrix, sq_dists
+from .linalg import as_count, as_int, as_matrix, sq_dists
 
 _WEIGHT_SUM_TOL = 1e-12
 _COUNT_TOL = 1e-6
@@ -163,14 +162,6 @@ def separation(model: MixtureModel) -> float:
     return float(np.sqrt(max(float(d[iu].min()), 0.0)))
 
 
-def min_symmetric_difference(sets) -> int:
-    """Smallest symmetric-difference size over all pairs of vertex sets."""
-    families = [frozenset(int(v) for v in s) for s in sets]
-    if len(families) < 2:
-        raise InvalidInputError("need at least two sets")
-    return min(len(a ^ b) for a, b in itertools.combinations(families, 2))
-
-
 def delta_v(params: BsbmParams) -> int:
     """Minimum number of right vertices distinguishing two clusters: they
     are disjoint, so |V_r Δ V_s| = |V_r| + |V_s|, least for the two smallest."""
@@ -274,7 +265,7 @@ def sample(model: MixtureModel, m: int, seed: int) -> BinaryDataset:
     against its mean as an integer threshold, by row blocks, so no
     canonical-order copy or (m, n) matrix of means is built.
     """
-    seed = as_int(seed, "seed")
+    m, seed = as_count(m, "m", 1), as_int(seed, "seed")
     truth_blocks = np.repeat(np.arange(model.k), cluster_counts(model, m))
     perm = rng.permutation(rng.mix64(seed, rng.TAG_SAMPLE_ORDER, m), m)
     truth = truth_blocks[perm]
@@ -588,9 +579,18 @@ def model_from_spec(spec, kind: str, where: str, extra=()):
     raise InvalidInputError(f"{where}: 'kind' must be 'bsbm' or 'mixture'")
 
 
-def dataset_paths(prefix) -> tuple[Path, Path]:
+def output_paths(prefix, suffixes: tuple[str, ...]) -> tuple[Path, ...]:
+    """``prefix`` followed by each of ``suffixes``, the file names of one
+    output.  A prefix ending in one of ``suffixes`` loses that ending first;
+    every other character is kept, so ``run.1`` gives ``run.1.mtx``."""
     prefix = Path(prefix)
-    return prefix.with_suffix(".mtx"), prefix.with_suffix(".json")
+    if prefix.suffix in suffixes:
+        prefix = prefix.with_suffix("")
+    return tuple(prefix.with_name(prefix.name + suffix) for suffix in suffixes)
+
+
+def dataset_paths(prefix) -> tuple[Path, Path]:
+    return output_paths(prefix, (".mtx", ".json"))
 
 
 def save_dataset(dataset: BinaryDataset, prefix) -> tuple[Path, Path]:

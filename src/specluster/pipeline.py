@@ -25,7 +25,7 @@ import numpy as np
 from . import linalg, rng
 from .errors import InvalidInputError
 from .kmeans import KMeansResult, kmeans
-from .linalg import RankKApprox, as_int, as_matrix, match_center_sets, sq_dists, truncated_svd
+from .linalg import RankKApprox, as_count, as_int, as_matrix, match_center_sets, sq_dists, truncated_svd
 
 # A half of at least this many rows and columns on the Jacobi path is worth
 # a second process; smaller ones take less time than the fork.
@@ -87,6 +87,7 @@ class ClusterDetail:
 
 def split_halves(m: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform split of range(m) into halves of ceil/floor(m/2)."""
+    m = as_count(m, "m", 0)
     perm = rng.permutation(rng.mix64(as_int(seed, "seed"), rng.TAG_SPLIT), m)
     h = (m + 1) // 2
     return perm[:h].copy(), perm[h:].copy()

@@ -165,10 +165,10 @@ def permutation(key: int, n: int) -> np.ndarray:
 class Stream:
     """Sequential uniform stream backed by a counter under a fixed key.
 
-    Draw i is ``uniform_array(key, [i])[0]``, whichever method reads it.
-    ``uniform`` computes a single draw on Python ints through the scalar
-    SplitMix64 chain: the top 53 bits convert to float64 exactly, so it
-    equals the vectorized draw bit for bit at a small part of its cost.
+    Draw i is ``uniform_array(key, [i])[0]``.  ``uniform`` computes it on
+    Python ints through the scalar SplitMix64 chain: the top 53 bits convert
+    to float64 exactly, so it equals the vectorized draw bit for bit at a
+    small part of its cost.
     """
 
     __slots__ = ("_key", "_counter")
@@ -176,11 +176,6 @@ class Stream:
     def __init__(self, *key_parts: int):
         self._key = mix64(*key_parts)
         self._counter = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
-        self._counter += n
-        return _to_unit(mix64_array(self._key, idx))
 
     def uniform(self) -> float:
         h = _mix_int(self._key ^ _mix_int(self._counter))

@@ -19,7 +19,7 @@ then reordered, ``A - E`` with E in full, the ``np.where`` Matrix Market
 writer, the transposing reader and the full ``a * a`` row norms.
 """
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import numpy as np
@@ -220,12 +220,21 @@ def mgs_reference(w: np.ndarray) -> np.ndarray:
     return q
 
 
+def min_symmetric_difference_reference(sets) -> int:
+    """Δv by brute force: the smallest symmetric-difference size over all
+    pairs of vertex sets."""
+    families = [frozenset(int(v) for v in s) for s in sets]
+    return min(len(a ^ b) for a, b in combinations(families, 2))
+
+
 def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed: int = 0):
     """Best of ``restarts`` k-means++ runs of Lloyd's loop, as a KMeansResult.
 
-    Each seeding draw is read from the vectorized ``Stream.uniforms``, group
-    sums come from ``np.add.at``, and every distance evaluation recomputes
-    the row norms.  Inputs are assumed valid.
+    Restart j's seeding draws are the vectorized uniforms
+    ``rng.uniform_array`` gives at indices 0, 1, ... under the key
+    ``mix64(seed, TAG_KMEANS, j)``, group sums come from ``np.add.at``, and
+    every distance evaluation recomputes the row norms.  Inputs are assumed
+    valid.
     """
     x = np.asarray(rows, dtype=np.float64)
     m = x.shape[0]
@@ -234,11 +243,9 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
         d = np.sum(x * x, axis=1)[:, None] + np.sum(c * c, axis=1)[None, :] - 2.0 * (x @ c.T)
         return np.maximum(d, 0.0)
 
-    def draw(stream):
-        return float(stream.uniforms(1)[0])
-
-    def plus_plus_init(x, stream):
-        first = min(int(draw(stream) * m), m - 1)
+    def plus_plus_init(x, key):
+        draws = iter(rng.uniform_array(key, np.arange(k, dtype=np.uint64)).tolist())
+        first = min(int(next(draws) * m), m - 1)
         chosen = [first]
         d2 = pairwise_sq(x, x[first : first + 1])[:, 0]
         for t in range(1, k):
@@ -246,7 +253,7 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
             if total <= 0.0:
                 nxt = (first + t) % m
             else:
-                target = draw(stream) * total
+                target = next(draws) * total
                 nxt = int(np.searchsorted(np.cumsum(d2), target, side="right"))
                 nxt = min(nxt, m - 1)
             chosen.append(nxt)
@@ -301,8 +308,8 @@ def kmeans_reference(rows, k: int, restarts: int = 10, max_iter: int = 300, seed
 
     best = None
     for j in range(restarts):
-        stream = rng.Stream(seed, rng.TAG_KMEANS, j)
-        labels_c, c, obj, iters = lloyd(xc, plus_plus_init(xc, stream))
+        key = rng.mix64(seed, rng.TAG_KMEANS, j)
+        labels_c, c, obj, iters = lloyd(xc, plus_plus_init(xc, key))
         if best is None or obj < best[0]:
             best = (obj, labels_c, c, iters)
 

@@ -73,6 +73,18 @@ class TestScore:
         with pytest.raises(InvalidInputError):
             score(np.array([0, 1]), np.array([0]), 2)
 
+    @pytest.mark.parametrize(
+        "k, message",
+        [(2.5, "k must be an integer, got 2.5"), (2.0, "k must be an integer, got 2.0"),
+         (True, "k must be an integer, got True"), (0, "k must be at least 1, got 0")],
+    )
+    def test_non_integral_k_rejected(self, k, message):
+        labels = np.array([0, 1, 0, 1])
+        for check in (score, overlap_check):
+            with pytest.raises(InvalidInputError, match=message):
+                check(labels, labels, k)
+        assert score(labels, labels, np.int64(2)).exact
+
 
 class TestConditionReport:
     def make_dataset(self, seed=0):

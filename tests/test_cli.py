@@ -46,6 +46,21 @@ class TestGenerate:
         jb = json.loads((tmp_path / "b.json").read_text())
         assert ja == jb
 
+    def test_dotted_prefixes_keep_every_character(self, tmp_path, capsys):
+        from specluster.cli import main
+
+        reports = {}
+        for out, m in (("run.1", 20), ("run.2", 30)):
+            bsbm = f"m={m},n=10,k=2,p=0.4,q=0.1"
+            assert main(["generate", "--bsbm", bsbm, "--out", str(tmp_path / out)]) == 0
+            reports[out] = capsys.readouterr().out
+        names = ["run.1.json", "run.1.mtx", "run.2.json", "run.2.mtx"]
+        assert sorted(path.name for path in tmp_path.iterdir()) == names
+        # A trailing .mtx or .json is the dataset's own suffix and is replaced.
+        for data in ("run.1", "run.1.mtx", "run.1.json"):
+            assert main(["check", "--data", str(tmp_path / data)]) == 0
+            assert capsys.readouterr().out == reports["run.1"]
+
     def test_model_file(self, tmp_path):
         model_file = tmp_path / "model.json"
         model_file.write_text(
@@ -590,6 +605,21 @@ class TestSweep:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
+    def test_dotted_prefixes_keep_every_character(self, tmp_path, capsys):
+        from specluster.cli import main
+
+        spec = self.spec_file(tmp_path)
+        for out, names in [
+            ("phase_q0.05", ["phase_q0.05.csv", "phase_q0.05.jsonl"]),
+            ("o.csv", ["o.csv", "o.jsonl"]),
+            ("r.jsonl", ["r.csv", "r.jsonl"]),
+        ]:
+            argv = ["sweep", "--spec", str(spec), "--out", str(tmp_path / out), "--trial-log"]
+            assert main(argv) == 0
+            written = json.loads(capsys.readouterr().out)
+            assert [written["csv"], written["records"]] == [str(tmp_path / n) for n in names]
+            assert all((tmp_path / name).is_file() for name in names)
+
     def test_invalid_spec_exits_2(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({"family": "bsbm", "axes": {}, "trials_per_cell": 1}))
@@ -789,6 +819,27 @@ class TestSweep:
             assert int(threads[0]) > 1  # BLAS threads were running at the fork
         assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
         assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
+
+
+def test_missing_out_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+    from specluster import cli, harness
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    for name in ("sample", "load_dataset", "cluster_detailed"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.setattr(harness, "run_sweep", no_work)
+    monkeypatch.setattr(harness.SweepSpec, "from_json", no_work)
+    missing = tmp_path / "missing" / "o"
+    for argv in (
+        ["generate", "--bsbm", BSBM, "--out", str(missing)],
+        ["cluster", "--data", str(tmp_path / "d"), "--k", "2", "--out", str(missing)],
+        ["sweep", "--spec", str(tmp_path / "spec.json"), "--out", str(missing)],
+    ):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == f"error: --out: {missing.parent} is not a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestRoundTrip:

@@ -115,6 +115,10 @@ class TestSweepSpec:
             noiseless_spec(trials=0)
         with pytest.raises(InvalidInputError):
             noiseless_spec(diagnostics=("bogus",))
+        with pytest.raises(InvalidInputError, match=r"axes must be a dict, got \[\('m', \[20\]\)\]"):
+            noiseless_spec(axes=[("m", [20])])
+        with pytest.raises(InvalidInputError, match=r"fixed must be a dict, got \[1\]"):
+            noiseless_spec(fixed=[1])
 
     @pytest.mark.parametrize(
         "field, value, message",

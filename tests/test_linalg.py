@@ -147,9 +147,9 @@ def counting_gram_svd(monkeypatch):
     """Patch ``linalg._gram_svd`` to record each call's k; return the list."""
     real, calls = linalg._gram_svd, []
 
-    def gram_svd(a, k, tol):
+    def gram_svd(a, k, tol, what):
         calls.append(k)
-        return real(a, k, tol)
+        return real(a, k, tol, what)
 
     monkeypatch.setattr(linalg, "_gram_svd", gram_svd)
     return calls

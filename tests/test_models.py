@@ -5,6 +5,7 @@ import pytest
 import scipy.io
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import min_symmetric_difference_reference
 from scipy.stats import binom
 
 from specluster import (
@@ -18,7 +19,6 @@ from specluster import (
     expected_from_truth,
     indicator_model,
     load_dataset,
-    min_symmetric_difference,
     sample,
     save_dataset,
     separation,
@@ -114,12 +114,6 @@ class TestBsbm:
             (p - q) ** 2 * delta_v(params), rel=1e-9
         )
 
-    def test_symmetric_difference(self):
-        assert min_symmetric_difference([{1, 2}, {3, 4}]) == 4
-        assert min_symmetric_difference([{1, 2}, {1, 2}]) == 0
-        assert min_symmetric_difference([{1, 2, 3}, {3, 4}]) == 3
-        assert min_symmetric_difference([{1, 2}, {2, 3}, {1, 2, 3, 4}]) == 2
-
     def test_delta_v_is_the_smallest_symmetric_difference(self):
         rs = np.random.RandomState(6)
         for _ in range(200):
@@ -128,7 +122,7 @@ class TestBsbm:
             assignment = rs.permutation(np.concatenate([np.arange(k), rs.randint(0, k, n - k)]))
             params = BsbmParams(2 * k, n, k, 0.4, 0.1, (2,) * k, assignment)
             clusters = [np.flatnonzero(assignment == r) for r in range(k)]
-            assert delta_v(params) == min_symmetric_difference(clusters)
+            assert delta_v(params) == min_symmetric_difference_reference(clusters)
 
 
 class TestSampling:
@@ -165,6 +159,16 @@ class TestSampling:
         model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
         with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
             sample(model, 40, seed)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [(40.0, "m must be an integer, got 40.0"), (True, "m must be an integer, got True"),
+         (0, "m must be at least 1, got 0")],
+    )
+    def test_non_integral_m_rejected(self, m, message):
+        model = bsbm_to_mixture(BsbmParams.balanced(40, 30, 2, 0.4, 0.1))
+        with pytest.raises(InvalidInputError, match=message):
+            sample(model, m, 0)
 
     def test_numpy_integer_seeds_give_int_seed_bytes(self, tmp_path):
         model = bsbm_to_mixture(BsbmParams.balanced(20, 15, 2, 0.4, 0.1))

@@ -142,7 +142,7 @@ class TestAssign:
 
 class TestSplit:
     def test_halves_partition(self):
-        for m in (2, 9, 40):
+        for m in (0, 2, 9, 40):
             first, second = split_halves(m, seed=4)
             assert first.size == (m + 1) // 2
             assert second.size == m // 2
@@ -157,6 +157,15 @@ class TestSplit:
     def test_non_integral_seed_rejected(self, seed):
         with pytest.raises(InvalidInputError, match="seed must be an integer, got"):
             split_halves(30, seed)
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [(2.0, "m must be an integer, got 2.0"), (True, "m must be an integer, got True"),
+         (-1, "m must be at least 0, got -1")],
+    )
+    def test_non_integral_m_rejected(self, m, message):
+        with pytest.raises(InvalidInputError, match=message):
+            split_halves(m, 0)
 
 
 class TestCluster:
@@ -374,7 +383,7 @@ class TestSecondProcess:
             "real_find = pipeline.find_centers_detailed\n"
             "def find(a, k, seed):\n"
             "    if os.getpid() != parent:\n"
-            "        linalg._lapack_qr()\n"
+            "        import scipy.linalg.lapack\n"
             "        counts = [get() for get, _ in linalg._openblas_thread_controls.__wrapped__()]\n"
             "        assert set(counts) == {1}, f'child OpenBLAS threads: {counts}'\n"
             "    return real_find(a, k, seed)\n"
