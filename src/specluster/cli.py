@@ -34,6 +34,7 @@ from .models import (
     BSBM_KEYS,
     BinaryDataset,
     check_keys,
+    dataset_paths,
     load_dataset,
     model_from_spec,
     noise_matrix,
@@ -69,12 +70,15 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _check_out_dir(path) -> None:
-    """Raise InvalidInputError unless the directory of the output ``path``
-    exists: each command checks it before it loads or runs anything."""
-    parent = Path(path).parent
-    if not parent.is_dir():
-        raise InvalidInputError(f"--out: {parent} is not a directory")
+def _check_outputs(*paths) -> None:
+    """Raise InvalidInputError unless each output file in ``paths`` can be
+    written: its directory exists and it is not a directory itself.  Each
+    command checks its outputs before it loads or runs anything."""
+    for path in map(Path, paths):
+        if not path.parent.is_dir():
+            raise InvalidInputError(f"--out: {path.parent} is not a directory")
+        if path.is_dir():
+            raise InvalidInputError(f"--out: {path} is a directory")
 
 
 def _parse_kv(text: str) -> dict:
@@ -111,7 +115,7 @@ def _report_over_matrix(dataset: BinaryDataset) -> dict:
 
 def cmd_generate(args) -> int:
     seed = _resolve_seed(args)
-    _check_out_dir(args.out)
+    _check_outputs(*dataset_paths(args.out))
     if (args.bsbm is None) == (args.model is None):
         raise InvalidInputError("generate needs exactly one of --bsbm or --model")
     if args.bsbm is not None:
@@ -133,7 +137,7 @@ def cmd_generate(args) -> int:
 
 def cmd_cluster(args) -> int:
     seed = _resolve_seed(args)
-    _check_out_dir(args.out)
+    _check_outputs(args.out)
     dataset = load_dataset(args.data)
     detail = cluster_detailed(dataset.matrix, args.k, seed)
     labels = detail.labels.tolist()
@@ -169,7 +173,7 @@ def cmd_sweep(args) -> int:
     from .harness import SweepSpec, run_sweep, write_csv, write_records_jsonl
 
     csv_path, jsonl_path = output_paths(args.out, (".csv", ".jsonl"))
-    _check_out_dir(csv_path)
+    _check_outputs(csv_path, *([jsonl_path] if args.trial_log else []))
     spec = SweepSpec.from_json(args.spec)
     result = run_sweep(spec, workers=args.workers)
     write_csv(result, csv_path)

@@ -54,21 +54,21 @@ def _group_means(x: np.ndarray, labels: np.ndarray, k: int) -> np.ndarray:
     return sums / counts[:, None]
 
 
-def _plus_plus_init(x: np.ndarray, x_sq: np.ndarray, k: int, stream: rng.Stream) -> np.ndarray:
-    """k-means++ D^2 seeding; surplus picks fall back to cyclic rows when
-    every remaining squared distance is zero (fewer distinct rows than k).
+def _plus_plus_init(x: np.ndarray, x_sq: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """k-means++ D^2 seeding of ``draws.size`` centers; pick t reads
+    ``draws[t]``.  Surplus picks fall back to cyclic rows when every
+    remaining squared distance is zero (fewer distinct rows than k).
     ``x_sq`` holds the squared row norms of ``x``."""
     m = x.shape[0]
-    first = stream.index_below(m)
+    first = min(int(draws[0] * m), m - 1)
     chosen = [first]
     d2 = _pairwise_sq(x, x[first : first + 1], x_sq)[:, 0]
-    for t in range(1, k):
+    for t in range(1, draws.size):
         total = float(d2.sum())
         if total <= 0.0:
             nxt = (first + t) % m
         else:
-            target = stream.uniform() * total
-            nxt = int(np.searchsorted(np.cumsum(d2), target, side="right"))
+            nxt = int(np.searchsorted(np.cumsum(d2), draws[t] * total, side="right"))
             nxt = min(nxt, m - 1)
         chosen.append(nxt)
         d2 = np.minimum(d2, _pairwise_sq(x, x[nxt : nxt + 1], x_sq)[:, 0])
@@ -122,10 +122,10 @@ def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
     """Best of ``RESTARTS`` independent k-means++ runs of Lloyd's algorithm,
     each of at most ``MAX_ITER`` iterations.
 
-    Deterministic given ``seed``: restart j draws from its own counter
-    stream keyed by (seed, j).  Nearest-centroid ties break toward the
-    lowest cluster index.  Requires at least k rows; fewer than k distinct
-    rows is handled (flagged), not an error.
+    Deterministic given ``seed``: pick t of restart j's seeding reads entry
+    (j, t) of one ``rng.uniform_grid`` keyed by ``seed``.  Nearest-centroid
+    ties break toward the lowest cluster index.  Requires at least k rows;
+    fewer than k distinct rows is handled (flagged), not an error.
     """
     x = as_matrix(rows, "rows")
     m = x.shape[0]
@@ -142,11 +142,10 @@ def kmeans(rows, k: int, *, seed: int = 0) -> KMeansResult:
     degenerate = distinct < k
     xc_sq = np.sum(xc * xc, axis=1)
 
+    draws = rng.uniform_grid(rng.mix64(seed, rng.TAG_KMEANS), RESTARTS, k)
     best = None
     for j in range(RESTARTS):
-        stream = rng.Stream(seed, rng.TAG_KMEANS, j)
-        c0 = _plus_plus_init(xc, xc_sq, k, stream)
-        labels_c, c, iters = _lloyd(xc, xc_sq, c0)
+        labels_c, c, iters = _lloyd(xc, xc_sq, _plus_plus_init(xc, xc_sq, draws[j]))
         obj = _sse(xc, labels_c, c)
         if best is None or obj < best[0]:
             best = (obj, labels_c, c, iters)

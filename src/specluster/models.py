@@ -582,11 +582,15 @@ def model_from_spec(spec, kind: str, where: str, extra=()):
 def output_paths(prefix, suffixes: tuple[str, ...]) -> tuple[Path, ...]:
     """``prefix`` followed by each of ``suffixes``, the file names of one
     output.  A prefix ending in one of ``suffixes`` loses that ending first;
-    every other character is kept, so ``run.1`` gives ``run.1.mtx``."""
-    prefix = Path(prefix)
-    if prefix.suffix in suffixes:
-        prefix = prefix.with_suffix("")
-    return tuple(prefix.with_name(prefix.name + suffix) for suffix in suffixes)
+    every other character is kept, so ``run.1`` gives ``run.1.mtx``.  A
+    prefix with no file name (``""``, ``.``, ``/``) or naming ``..`` raises
+    InvalidInputError."""
+    path = Path(prefix)
+    if path.name in ("", ".."):
+        raise InvalidInputError(f"path prefix {str(prefix)!r} has no file name")
+    if path.suffix in suffixes:
+        path = path.with_suffix("")
+    return tuple(path.with_name(path.name + suffix) for suffix in suffixes)
 
 
 def dataset_paths(prefix) -> tuple[Path, Path]:

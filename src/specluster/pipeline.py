@@ -114,16 +114,16 @@ def find_centers_detailed(matrix, k: int, seed: int) -> CentersDetail:
 def _cluster_means(a: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Row r is ``a[labels == r].mean(axis=0)``, with the same bytes.
 
-    numpy sums axis 0 of a C-ordered matrix of n >= 2 columns one row after
-    another, so a C-ordered ``a`` is summed by :func:`rng.row_blocks`: each
-    block's rows of cluster r are copied into one buffer behind the running
-    sum, and the buffer is reduced.  No copy of a whole cluster is made.  A
-    single column reduces pairwise, and other layouts in layout order, so
-    they take the whole-matrix expression.
+    The mask copy is C-ordered whatever the layout of ``a``, and numpy sums
+    axis 0 of a C-ordered matrix of n >= 2 columns one row after another.
+    So ``a`` is summed by :func:`rng.row_blocks`: each block's rows of
+    cluster r are copied into one buffer behind the running sum, and the
+    buffer is reduced.  No copy of a whole cluster is made.  A single column
+    reduces pairwise, so it takes the whole-cluster expression.
     """
     k = sizes.shape[0]
     m, n = a.shape
-    if n == 1 or not a.flags.c_contiguous:
+    if n == 1:
         return np.stack([a[labels == r].mean(axis=0) for r in range(k)])
     sums = np.zeros((k, n))
     started = np.zeros(k, dtype=bool)

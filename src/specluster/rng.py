@@ -1,4 +1,4 @@
-"""Deterministic 64-bit hashing and counter-based random streams.
+"""Deterministic 64-bit hashing and key-addressed uniforms.
 
 Every random choice in this package derives from explicit integer keys fed
 through the SplitMix64 finalizer (Steele, Lea & Flood, OOPSLA 2014), so
@@ -161,27 +161,3 @@ def permutation(key: int, n: int) -> np.ndarray:
     keys = mix64_array(key, np.arange(n, dtype=np.uint64))
     return np.argsort(keys, kind="stable")
 
-
-class Stream:
-    """Sequential uniform stream backed by a counter under a fixed key.
-
-    Draw i is ``uniform_array(key, [i])[0]``.  ``uniform`` computes it on
-    Python ints through the scalar SplitMix64 chain: the top 53 bits convert
-    to float64 exactly, so it equals the vectorized draw bit for bit at a
-    small part of its cost.
-    """
-
-    __slots__ = ("_key", "_counter")
-
-    def __init__(self, *key_parts: int):
-        self._key = mix64(*key_parts)
-        self._counter = 0
-
-    def uniform(self) -> float:
-        h = _mix_int(self._key ^ _mix_int(self._counter))
-        self._counter += 1
-        return (h >> 11) * 2.0**-53
-
-    def index_below(self, n: int) -> int:
-        """Uniform index in [0, n); bias is below 2**-53 per draw."""
-        return min(int(self.uniform() * n), n - 1)

@@ -821,7 +821,9 @@ class TestSweep:
         assert (tmp_path / "w1.jsonl").read_bytes() == (tmp_path / "w2.jsonl").read_bytes()
 
 
-def test_missing_out_directory_exits_2_before_any_work(tmp_path, monkeypatch, capsys):
+@pytest.fixture
+def forbid_work(monkeypatch):
+    """Make every command's sampling, loading, clustering and sweep fail."""
     from specluster import cli, harness
 
     def no_work(*args, **kwargs):
@@ -831,6 +833,11 @@ def test_missing_out_directory_exits_2_before_any_work(tmp_path, monkeypatch, ca
         monkeypatch.setattr(cli, name, no_work)
     monkeypatch.setattr(harness, "run_sweep", no_work)
     monkeypatch.setattr(harness.SweepSpec, "from_json", no_work)
+
+
+def test_missing_out_directory_exits_2_before_any_work(tmp_path, forbid_work, capsys):
+    from specluster import cli
+
     missing = tmp_path / "missing" / "o"
     for argv in (
         ["generate", "--bsbm", BSBM, "--out", str(missing)],
@@ -840,6 +847,46 @@ def test_missing_out_directory_exits_2_before_any_work(tmp_path, monkeypatch, ca
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == f"error: --out: {missing.parent} is not a directory\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_out_file_that_is_a_directory_exits_2_before_any_work(tmp_path, forbid_work,
+                                                              monkeypatch, capsys):
+    from specluster import cli
+
+    monkeypatch.chdir(tmp_path)
+    for name in ("g.mtx", "h.json", "s.csv", "t.jsonl", "labels"):
+        (tmp_path / name).mkdir()
+    spec, data = str(tmp_path / "spec.json"), str(tmp_path / "d")
+    for argv, directory in (
+        (["generate", "--bsbm", BSBM, "--out", "g"], "g.mtx"),
+        (["generate", "--bsbm", BSBM, "--out", "h"], "h.json"),
+        (["cluster", "--data", data, "--k", "2", "--out", "labels"], "labels"),
+        (["cluster", "--data", data, "--k", "2", "--out", "."], "."),
+        (["cluster", "--data", data, "--k", "2", "--out", ""], "."),
+        (["sweep", "--spec", spec, "--out", "s"], "s.csv"),
+        (["sweep", "--spec", spec, "--out", "t", "--trial-log"], "t.jsonl"),
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: --out: {directory} is a directory\n"
+    assert all(path.is_dir() and not any(path.iterdir()) for path in tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("prefix", ["", ".", "/", ".."])
+def test_prefix_with_no_file_name_exits_2(tmp_path, monkeypatch, capsys, prefix):
+    from specluster import cli
+
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    for argv in (
+        ["generate", "--bsbm", BSBM, "--out", prefix],
+        ["sweep", "--spec", str(tmp_path / "spec.json"), "--out", prefix, "--trial-log"],
+        ["check", "--data", prefix],
+        ["cluster", "--data", prefix, "--k", "2", "--out", "labels.json"],
+    ):
+        assert cli.main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: path prefix {prefix!r} has no file name\n"
+    assert list(tmp_path.rglob("*")) == [work]
 
 
 class TestRoundTrip:
